@@ -1,18 +1,5 @@
 #include "core/batch.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <sstream>
-#include <thread>
-
-#include "fault/fault.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "telemetry/text.hpp"
-#include "util/error.hpp"
-#include "util/timer.hpp"
-
 namespace lejit::core {
 
 util::Rng row_rng(std::uint64_t seed, std::size_t row, int attempt) noexcept {
@@ -20,164 +7,6 @@ util::Rng row_rng(std::uint64_t seed, std::size_t row, int attempt) noexcept {
                        (static_cast<std::uint64_t>(attempt) *
                         0xda942042e4dd58b5ULL),
                    2 * row + 1);
-}
-
-std::uint64_t retry_backoff_for_attempt(std::int64_t retry_backoff_us,
-                                        int attempt) noexcept {
-  if (retry_backoff_us <= 0 || attempt <= 0) return 0;
-  constexpr std::uint64_t kMaxBackoffUs = 1'000'000;  // 1 s ceiling
-  const auto base = static_cast<std::uint64_t>(retry_backoff_us);
-  const int shift = std::min(attempt - 1, 63);
-  // base << shift could overflow (and for shift >= 64 the naive expression
-  // is UB outright), so compare against the ceiling by shifting right.
-  if (base > (kMaxBackoffUs >> shift)) return kMaxBackoffUs;
-  return base << shift;
-}
-
-namespace {
-
-BatchReport run_batch(const DecoderFactory& make_decoder, std::size_t count,
-                      const BatchConfig& config,
-                      const std::function<std::string(std::size_t)>& prompt_of) {
-  LEJIT_REQUIRE(make_decoder != nullptr, "null decoder factory");
-
-  BatchReport report;
-  report.results.resize(count);
-  if (count == 0) return report;
-
-  int threads = config.threads;
-  if (threads <= 0)
-    threads = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  threads = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads), count));
-
-  util::Timer timer;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::atomic<std::size_t> retries{0};
-  std::atomic<std::size_t> degraded{0};
-  // Every worker-level failure, each tagged with the row (or setup phase)
-  // it happened in; all of them are surfaced in the thrown message.
-  std::vector<std::string> failure_messages;
-  std::mutex failure_mutex;
-
-  const auto record_failure = [&](const std::string& where,
-                                  const char* what) {
-    const std::lock_guard<std::mutex> lock(failure_mutex);
-    failed.store(true);
-    failure_messages.push_back(where + ": " + what);
-  };
-
-  // Decode row i, absorbing exceptions when isolation is on: retry with
-  // exponential backoff, then report the row degraded instead of taking the
-  // batch down with it.
-  const auto decode_row = [&](GuidedDecoder& decoder, std::size_t i) {
-    const int max_attempts = 1 + std::max(0, config.row_retries);
-    std::string last_error;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) {
-        ++retries;
-        const std::uint64_t backoff_us =
-            retry_backoff_for_attempt(config.retry_backoff_us, attempt);
-        if (backoff_us > 0)
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              static_cast<std::int64_t>(backoff_us)));
-      }
-      // Schedule-independent determinism: the RNG depends only on
-      // (seed, i, attempt) — see row_rng.
-      util::Rng rng = row_rng(config.seed, i, attempt);
-      try {
-        fault::Injector::instance().on_batch_row(i, attempt);
-        report.results[i] = decoder.generate(rng, prompt_of(i));
-        return;
-      } catch (const std::exception& e) {
-        if (!config.isolate_rows) throw;
-        last_error = e.what();
-        LEJIT_LOG_WARN("batch row " + std::to_string(i) + " attempt " +
-                       std::to_string(attempt + 1) + "/" +
-                       std::to_string(max_attempts) + " failed: " +
-                       last_error);
-      }
-    }
-    // All attempts threw: report a degraded row in place.
-    DecodeResult& r = report.results[i];
-    r = DecodeResult{};
-    r.reason = FailReason::kFault;
-    r.fail_detail = "row " + std::to_string(i) + " degraded after " +
-                    std::to_string(max_attempts) + " attempt(s): " +
-                    last_error;
-    ++degraded;
-    LEJIT_LOG_ERROR(r.fail_detail);
-  };
-
-  const auto worker = [&]() {
-    std::unique_ptr<GuidedDecoder> decoder;
-    try {
-      decoder = make_decoder();
-      LEJIT_REQUIRE(decoder != nullptr, "decoder factory returned null");
-    } catch (const std::exception& e) {
-      record_failure("worker setup", e.what());
-      return;
-    }
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count || failed.load()) break;
-      try {
-        decode_row(*decoder, i);
-      } catch (const std::exception& e) {
-        record_failure("row " + std::to_string(i), e.what());
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (failed.load()) {
-    std::ostringstream msg;
-    msg << "batch worker failed (" << failure_messages.size()
-        << " failure(s))";
-    for (const auto& m : failure_messages) msg << "; " << m;
-    throw util::RuntimeError(msg.str());
-  }
-
-  report.wall_seconds = timer.elapsed_seconds();
-  report.row_retries = retries.load();
-  report.degraded_rows = degraded.load();
-  for (const auto& r : report.results) {
-    if (r.ok) ++report.ok;
-    if (r.infeasible_prompt) ++report.infeasible_prompts;
-    if (r.dead_end) ++report.dead_ends;
-  }
-  if (obs::metrics_enabled()) {
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.counter("batch.rows").add(static_cast<std::int64_t>(count));
-    registry.counter("batch.row_retries")
-        .add(static_cast<std::int64_t>(report.row_retries));
-    registry.counter("batch.degraded_rows")
-        .add(static_cast<std::int64_t>(report.degraded_rows));
-  }
-  return report;
-}
-
-}  // namespace
-
-BatchReport impute_batch(const DecoderFactory& make_decoder,
-                         std::span<const telemetry::Window> windows,
-                         const BatchConfig& config) {
-  return run_batch(make_decoder, windows.size(), config,
-                   [&windows](std::size_t i) {
-                     return telemetry::imputation_prompt(windows[i]);
-                   });
-}
-
-BatchReport synthesize_batch(const DecoderFactory& make_decoder,
-                             std::size_t count, const BatchConfig& config) {
-  return run_batch(make_decoder, count, config,
-                   [](std::size_t) { return std::string(); });
 }
 
 }  // namespace lejit::core

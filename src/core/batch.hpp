@@ -1,76 +1,21 @@
-// Fleet-scale batch decoding.
+// Deterministic per-row RNG for fleet-scale decoding.
 //
-// The paper's workload is 30K imputations over a rack fleet (§4.1); this
-// driver runs such workloads across worker threads. Each worker owns its own
-// GuidedDecoder (decoders hold solver state, and the transformer's KV cache
-// makes even inference non-reentrant), created through a caller-supplied
-// factory. Sampling is deterministic and *schedule-independent*: window i is
-// always decoded with an RNG forked from (seed, i), so the results are
-// bit-identical to a sequential run regardless of thread count.
+// The fleet driver is serve::Server (src/serve/); this header keeps only the
+// row RNG derivation it shares with every sequential oracle that must
+// reproduce its rows (tests, benches, `lejit_cli serve-bench --verify`).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <span>
+#include <cstddef>
+#include <cstdint>
 
-#include "core/decoder.hpp"
-#include "telemetry/schema.hpp"
+#include "util/rng.hpp"
 
 namespace lejit::core {
 
-struct BatchConfig {
-  // 0 = one worker per hardware thread.
-  int threads = 0;
-  std::uint64_t seed = 1;
-
-  // Per-row fault isolation. When a row's generate() throws, the row is
-  // retried up to row_retries times (with exponential backoff starting at
-  // retry_backoff_us); if every attempt throws, the row is reported as
-  // degraded (FailReason::kFault, the exception text in fail_detail) and the
-  // rest of the batch proceeds. Disable to restore fail-fast: the first
-  // throwing row aborts the whole batch.
-  bool isolate_rows = true;
-  int row_retries = 1;
-  std::int64_t retry_backoff_us = 0;
-};
-
-using DecoderFactory = std::function<std::unique_ptr<GuidedDecoder>()>;
-
 // Deterministic per-row RNG: depends only on (seed, row, attempt), so results
-// are schedule-independent. Attempt 0 reproduces the pre-isolation derivation
-// exactly. Shared with the serve runtime (src/serve/), which must decode a
-// given (seed, row) pair bit-identically to this batch driver.
+// are schedule-independent. Serve decodes every attempt of row i with
+// row_rng(seed, i, 0), so a row that succeeds on a retry is bit-identical to
+// its sequential decode.
 util::Rng row_rng(std::uint64_t seed, std::size_t row, int attempt) noexcept;
-
-// Microseconds to sleep before retry `attempt` (>= 1): retry_backoff_us
-// doubled per prior attempt, with the exponent clamped and the result capped
-// at 1 s — naive `base << (attempt - 1)` overflows long before attempt 64 and
-// is undefined behavior from there on.
-std::uint64_t retry_backoff_for_attempt(std::int64_t retry_backoff_us,
-                                        int attempt) noexcept;
-
-struct BatchReport {
-  std::vector<DecodeResult> results;  // in input order
-  std::size_t ok = 0;
-  std::size_t infeasible_prompts = 0;
-  std::size_t dead_ends = 0;
-  // Rows whose every attempt ended in an exception (FailReason::kFault).
-  std::size_t degraded_rows = 0;
-  // Row attempts beyond the first, across the whole batch.
-  std::size_t row_retries = 0;
-  double wall_seconds = 0.0;
-};
-
-// Impute every window (prompt = its coarse prefix). `make_decoder` is called
-// once per worker and must produce independent decoders over the same model
-// and rule set.
-BatchReport impute_batch(const DecoderFactory& make_decoder,
-                         std::span<const telemetry::Window> windows,
-                         const BatchConfig& config = {});
-
-// Unconditional generation of `count` rows (the synthesis task).
-BatchReport synthesize_batch(const DecoderFactory& make_decoder,
-                             std::size_t count,
-                             const BatchConfig& config = {});
 
 }  // namespace lejit::core

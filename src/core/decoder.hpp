@@ -184,7 +184,7 @@ enum class FailReason {
   kEmptyMask,          // no legal token at some step, retries exhausted
   kBudgetExhausted,    // per-row node/deadline ceiling hit
   kFault,              // an exception (e.g. injected fault) killed the row;
-                       // assigned by the batch driver, not the decoder
+                       // assigned by serve::Server, not the decoder
 };
 
 std::string_view fail_reason_name(FailReason r) noexcept;

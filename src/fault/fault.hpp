@@ -3,7 +3,7 @@
 // The decode hot path has three places where the real world can hurt it: a
 // solver check can come back inconclusive (budget/deadline exhaustion), an LM
 // forward pass can fail or stall (a remote inference backend), and a whole
-// batch row can die (a poisoned prompt, an OOM'd worker). The `Injector`
+// serve row can die (a poisoned prompt, an OOM'd worker). The `Injector`
 // simulates all three on demand so the resilience machinery — kUnknown
 // policies, dead-end recovery, per-row isolation — can be exercised by
 // ordinary ctest runs instead of waiting for production incidents.
@@ -43,7 +43,7 @@ class InjectedFault : public util::RuntimeError {
 enum class Site : int {
   kSolverCheck = 0,  // smt::Solver::check_assuming → force kUnknown
   kLmForward,        // lm::LanguageModel::logits → throw / stall
-  kBatchRow,         // core batch row attempt → throw (scripted only)
+  kBatchRow,         // serve row attempt → throw (scripted only)
   // smt::SubprocessBackend wire faults. These are *fire* sites: p_unknown is
   // the probability the fault fires (see inject_fire), and the backend turns
   // a firing into the real failure path — SIGKILLing its child, simulating a
@@ -74,8 +74,8 @@ struct Plan {
   std::array<SiteConfig, static_cast<int>(Site::kCount)> sites{};
 
   // Scripted row faults: {row index, attempts}. The row's first `attempts`
-  // generation attempts throw InjectedFault; attempt numbers past that
-  // succeed. Use attempts > the batch's retry limit to force a degraded row.
+  // serve attempts throw InjectedFault; attempt numbers past that succeed.
+  // Use attempts >= serve::Server::kRowAttempts to force a degraded row.
   std::vector<std::pair<std::size_t, int>> fail_rows;
 
   SiteConfig& site(Site s) { return sites[static_cast<std::size_t>(s)]; }
@@ -91,7 +91,7 @@ struct Counts {
   std::int64_t unknowns = 0;  // forced kUnknown results
   std::int64_t throws = 0;    // InjectedFault thrown (probabilistic sites)
   std::int64_t delays = 0;    // stalled calls
-  std::int64_t row_faults = 0;  // scripted batch-row throws
+  std::int64_t row_faults = 0;  // scripted row throws (fail_rows)
 };
 
 class Injector {
@@ -112,8 +112,9 @@ class Injector {
   // returning false when disarmed.
   bool on_call(Site site);
 
-  // Scripted hook: throws InjectedFault iff `plan.fail_rows` schedules a
-  // fault for this (row, attempt). Attempt numbers start at 0.
+  // Scripted hook, called by serve::Server before each row attempt: throws
+  // InjectedFault iff `plan.fail_rows` schedules a fault for this
+  // (row, attempt). Attempt numbers start at 0.
   void on_batch_row(std::size_t row, int attempt);
 
   Counts counts() const noexcept;

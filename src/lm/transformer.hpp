@@ -143,8 +143,8 @@ class Transformer final : public LanguageModel {
 
 // A per-thread / per-session view of a shared Transformer: same logits, but
 // the KV cache lives here, so any number of sessions can decode concurrently
-// over one read-only model (e.g. a core::DecoderFactory capturing a shared
-// model hands each worker its own TransformerSession). The model must
+// over one read-only model (e.g. each decoder thread over a shared model gets
+// its own TransformerSession). The model must
 // outlive the session and must not be trained while sessions are live.
 class TransformerSession final : public LanguageModel {
  public:

@@ -7,7 +7,7 @@
 //      memory is written. Observability is compiled in everywhere and gated
 //      at runtime (off by default, switched on by CLI flags / benches).
 //   2. Thread-safe updates without locks. Counters and histogram buckets are
-//      relaxed atomics; the decode batch driver and future servers can hammer
+//      relaxed atomics; the serve runtime's session threads can hammer
 //      them from many threads.
 //   3. Stable handles. Registered metrics live for the process lifetime and
 //      never move, so call sites look a metric up once (function-local

@@ -2,6 +2,9 @@
 
 #include <exception>
 
+#include "core/batch.hpp"
+#include "fault/fault.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "util/error.hpp"
@@ -86,28 +89,57 @@ Server::~Server() {
 void Server::session_main(Group& group, DecodeSession& session) {
   while (auto job = queue_.pop()) {
     group.batcher.activate();
-    core::DecodeResult result;
-    try {
-      // Same (seed, row) → RNG derivation as the offline batch driver.
-      // Serve does not retry rows (no attempt loop), so attempt is 0.
-      util::Rng rng = core::row_rng(config_.seed, job->row, 0);
-      result = session.decode(rng, job->run->prompts[job->row]);
-    } catch (const std::exception& e) {
-      result = core::DecodeResult{};
-      result.reason = core::FailReason::kFault;
-      result.fail_detail = "serve row " + std::to_string(job->row) +
-                           " degraded: " + e.what();
-      // The throw may have interrupted a KV-cache update mid-write; drop the
-      // cached prefix so the fault stays confined to this row.
-      session.reset_lm_cache();
-      degraded_rows_.fetch_add(1, std::memory_order_relaxed);
-    }
+    core::DecodeResult result =
+        decode_row(session, job->row, job->run->prompts[job->row]);
     // Leave the rendezvous before delivering: the group must never wait on a
     // session that is done with its row.
     group.batcher.deactivate();
     rows_.fetch_add(1, std::memory_order_relaxed);
     job->run->deliver(job->row, std::move(result));
   }
+}
+
+core::DecodeResult Server::decode_row(DecodeSession& session,
+                                      std::size_t row,
+                                      std::string_view prompt) {
+  std::string last_error;
+  for (int attempt = 0; attempt < kRowAttempts; ++attempt) {
+    if (attempt > 0) {
+      row_retries_.fetch_add(1, std::memory_order_relaxed);
+      if (obs::metrics_enabled()) {
+        static obs::Counter& c_retries =
+            obs::MetricsRegistry::instance().counter("serve.row_retries");
+        c_retries.inc();
+      }
+    }
+    try {
+      fault::Injector::instance().on_batch_row(row, attempt);
+      // Every attempt replays the row's one RNG stream, so a row that
+      // succeeds on a retry is bit-identical to its sequential decode.
+      util::Rng rng = core::row_rng(config_.seed, row, 0);
+      return session.decode(rng, prompt);
+    } catch (const std::exception& e) {
+      last_error = e.what();
+      // The throw may have interrupted a KV-cache update mid-write; drop the
+      // cached prefix so the fault stays confined to this attempt.
+      session.reset_lm_cache();
+      LEJIT_LOG_WARN("serve row " + std::to_string(row) + " attempt " +
+                     std::to_string(attempt + 1) + "/" +
+                     std::to_string(kRowAttempts) + " failed: " + last_error);
+    }
+  }
+  degraded_rows_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::metrics_enabled()) {
+    static obs::Counter& c_degraded =
+        obs::MetricsRegistry::instance().counter("serve.degraded_rows");
+    c_degraded.inc();
+  }
+  core::DecodeResult result;
+  result.reason = core::FailReason::kFault;
+  result.fail_detail = "serve row " + std::to_string(row) + " degraded after " +
+                       std::to_string(kRowAttempts) +
+                       " attempts: " + last_error;
+  return result;
 }
 
 std::vector<core::DecodeResult> Server::run(
@@ -151,6 +183,7 @@ ServeStats Server::stats() const {
   ServeStats stats;
   stats.rows = rows_.load(std::memory_order_relaxed);
   stats.degraded_rows = degraded_rows_.load(std::memory_order_relaxed);
+  stats.row_retries = row_retries_.load(std::memory_order_relaxed);
   for (const auto& group : groups_) {
     std::uint64_t forwards = 0, contexts = 0;
     group->batcher.snapshot(forwards, contexts);

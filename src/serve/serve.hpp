@@ -11,11 +11,11 @@
 // cache, solver scopes, RNG, private KV cache).
 //
 // Determinism contract: row i of a run() call is decoded with the RNG
-// derived from (seed, i) by core::row_rng — exactly the batch driver's
-// derivation — and the batched forward is bit-identical per session to the
-// sequential one, so serve output for a fixed (seed, prompts) pair is
+// core::row_rng(seed, i, 0) — on every attempt, retries included — and the
+// batched forward is bit-identical per session to the sequential one, so
+// every non-degraded serve row for a fixed (seed, prompts) pair is
 // bit-identical to a sequential per-row decode, independent of worker
-// count, batch width, queue order, and thread scheduling.
+// count, batch width, queue order, thread scheduling, and row faults.
 #pragma once
 
 #include <atomic>
@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/decoder.hpp"
 #include "lm/tokenizer.hpp"
 #include "lm/transformer.hpp"
@@ -43,13 +42,14 @@ struct ServeConfig {
   int batch = 4;
   // Admission queue bound: submissions beyond this backpressure the caller.
   std::size_t queue_capacity = 1024;
-  // Row RNG seed (core::row_rng derivation, shared with core/batch).
+  // Row RNG seed: row i decodes with core::row_rng(seed, i, 0).
   std::uint64_t seed = 1;
 };
 
 struct ServeStats {
   std::uint64_t rows = 0;            // rows decoded across all run() calls
-  std::uint64_t degraded_rows = 0;   // rows whose generate() threw (kFault)
+  std::uint64_t degraded_rows = 0;   // rows whose every attempt threw (kFault)
+  std::uint64_t row_retries = 0;     // row attempts beyond the first
   std::uint64_t batched_forwards = 0;   // Transformer::logits_batch calls
   std::uint64_t forwarded_contexts = 0; // Σ batch width over those calls
 
@@ -130,12 +130,17 @@ class Server {
   // in input order. Synchronous; may be called repeatedly — sessions, caches
   // and plan survive across calls. Rows are numbered from 0 per call, so a
   // run() with the same (seed, prompts) always returns the same rows.
-  // A row whose decode throws is reported degraded (FailReason::kFault)
-  // rather than taking the run down.
+  // A row whose decode throws is retried on its session (KV cache reset
+  // first), up to kRowAttempts attempts in all; a row whose every attempt
+  // throws is reported degraded (FailReason::kFault) rather than taking the
+  // run down.
   std::vector<core::DecodeResult> run(std::span<const std::string> prompts);
 
   ServeStats stats() const;
   const ServeConfig& config() const noexcept { return config_; }
+
+  // Fixed row fault budget: the first attempt plus two retries, no backoff.
+  static constexpr int kRowAttempts = 3;
 
  private:
   struct RunState;
@@ -154,6 +159,8 @@ class Server {
   };
 
   void session_main(Group& group, DecodeSession& session);
+  core::DecodeResult decode_row(DecodeSession& session, std::size_t row,
+                                std::string_view prompt);
 
   ServeConfig config_;
   BoundedQueue<Job> queue_;
@@ -161,6 +168,7 @@ class Server {
   std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> rows_{0};
   std::atomic<std::uint64_t> degraded_rows_{0};
+  std::atomic<std::uint64_t> row_retries_{0};
 };
 
 }  // namespace lejit::serve

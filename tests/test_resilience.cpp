@@ -1,8 +1,8 @@
-// Decoder resilience (kUnknown policies, budgets, dead-end recovery) and
-// batch per-row fault isolation. DESIGN.md §8 is the narrative version.
+// Decoder resilience (kUnknown policies, budgets, dead-end recovery).
+// DESIGN.md §8 is the narrative version; serve row fault isolation (§8.4)
+// is tested with the serving runtime in test_serve.cpp.
 #include <gtest/gtest.h>
 
-#include "core/batch.hpp"
 #include "core/decoder.hpp"
 #include "fault/fault.hpp"
 #include "lm/ngram.hpp"
@@ -259,103 +259,6 @@ TEST(DeadEndRecovery, FailReasonNamesAreStable) {
   EXPECT_EQ(fail_reason_name(FailReason::kBudgetExhausted),
             "budget_exhausted");
   EXPECT_EQ(fail_reason_name(FailReason::kFault), "fault");
-}
-
-// --- batch per-row fault isolation ------------------------------------------
-
-DecoderFactory factory() {
-  return [] {
-    return std::make_unique<GuidedDecoder>(
-        *env().model, env().tokenizer, env().layout, env().manual,
-        DecoderConfig{.mode = GuidanceMode::kFull});
-  };
-}
-
-TEST(BatchIsolation, RetriedRowRecoversAndTheBatchIsClean) {
-  fault::Plan plan;
-  plan.fail_rows = {{2, 1}};  // row 2 fails attempt 0 only
-  const fault::ScopedPlan scoped{plan};
-
-  BatchConfig config{.threads = 2, .seed = 9};
-  config.row_retries = 1;
-  const BatchReport report = synthesize_batch(factory(), 6, config);
-  EXPECT_EQ(report.results.size(), 6u);
-  EXPECT_EQ(report.degraded_rows, 0u);
-  EXPECT_EQ(report.row_retries, 1u);
-  EXPECT_TRUE(report.results[2].ok) << report.results[2].fail_detail;
-  EXPECT_EQ(report.ok, 6u);
-}
-
-TEST(BatchIsolation, ExhaustedRetriesDegradeTheRowNotTheBatch) {
-  fault::Plan plan;
-  plan.fail_rows = {{2, 99}};  // row 2 fails every attempt
-  const fault::ScopedPlan scoped{plan};
-
-  BatchConfig config{.threads = 2, .seed = 9};
-  config.row_retries = 1;
-  const BatchReport report = synthesize_batch(factory(), 6, config);
-  EXPECT_EQ(report.degraded_rows, 1u);
-  EXPECT_EQ(report.row_retries, 1u);
-  const DecodeResult& degraded = report.results[2];
-  EXPECT_FALSE(degraded.ok);
-  EXPECT_EQ(degraded.reason, FailReason::kFault);
-  EXPECT_NE(degraded.fail_detail.find("row 2"), std::string::npos)
-      << degraded.fail_detail;
-  EXPECT_EQ(report.ok, 5u);
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    if (i == 2) continue;
-    EXPECT_TRUE(report.results[i].ok) << "row " << i;
-  }
-}
-
-TEST(BatchIsolation, FailFastModeStillAbortsTheWholeBatch) {
-  fault::Plan plan;
-  plan.fail_rows = {{1, 99}};
-  const fault::ScopedPlan scoped{plan};
-
-  BatchConfig config{.threads = 1, .seed = 9};
-  config.isolate_rows = false;
-  try {
-    synthesize_batch(factory(), 4, config);
-    FAIL() << "expected the batch to abort";
-  } catch (const util::RuntimeError& e) {
-    EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(BatchIsolation, EveryWorkerSetupFailureIsCollected) {
-  const DecoderFactory exploding = []() -> std::unique_ptr<GuidedDecoder> {
-    throw util::RuntimeError("factory exploded");
-  };
-  try {
-    synthesize_batch(exploding, 9, BatchConfig{.threads = 3, .seed = 1});
-    FAIL() << "expected the batch to abort";
-  } catch (const util::RuntimeError& e) {
-    const std::string what = e.what();
-    std::size_t mentions = 0;
-    for (std::size_t pos = what.find("worker setup");
-         pos != std::string::npos; pos = what.find("worker setup", pos + 1))
-      ++mentions;
-    EXPECT_EQ(mentions, 3u) << what;
-    EXPECT_NE(what.find("3 failure(s)"), std::string::npos) << what;
-  }
-}
-
-TEST(BatchIsolation, IsolationDefaultsPreserveDeterminism) {
-  // Attempt 0 must reproduce the pre-isolation RNG stream: two runs at
-  // different thread counts, one with isolation off, all bit-identical.
-  const BatchReport a =
-      synthesize_batch(factory(), 5, BatchConfig{.threads = 1, .seed = 4});
-  const BatchReport b =
-      synthesize_batch(factory(), 5, BatchConfig{.threads = 4, .seed = 4});
-  BatchConfig no_isolation{.threads = 2, .seed = 4};
-  no_isolation.isolate_rows = false;
-  const BatchReport c = synthesize_batch(factory(), 5, no_isolation);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(a.results[i].text, b.results[i].text) << i;
-    EXPECT_EQ(a.results[i].text, c.results[i].text) << i;
-  }
 }
 
 }  // namespace

@@ -1,27 +1,28 @@
 // Fault-injection stress tests (ctest label `stress`; also run under
 // ASan+UBSan by tools/run_stress_sanitized.sh).
 //
-// The headline scenario is ISSUE acceptance: with injection forcing a
-// double-digit percentage of solver checks to kUnknown and one scripted
-// batch-row failure, a 32-row batch must complete with every non-faulted
-// row valid, dead-end recovery must save a kHull row, and the obs counters
-// must agree with the injector's own ground-truth counts.
+// The headline scenario: with injection forcing a double-digit percentage of
+// solver checks to kUnknown and one scripted row failure, a 32-row serve run
+// must complete with every non-faulted row valid, dead-end recovery must
+// save a kHull row, and the obs counters must agree with the injector's own
+// ground-truth counts.
 //
 // Determinism note (DESIGN.md §8.5): probabilistic decisions are keyed by a
-// per-site call counter, so under a thread pool *which* check is faulted is
-// schedule-dependent while rates and totals are not. Tests that pin exact
-// per-row outcomes therefore run the batch on one thread (fully
-// deterministic); the multithreaded storm asserts aggregates only.
+// per-site call counter, so under several session threads *which* check is
+// faulted is schedule-dependent while rates and totals are not. Tests that
+// pin exact per-row outcomes therefore run a 1x1 server (one session
+// thread, fully deterministic); the 4x1 storm asserts aggregates only.
 #include <gtest/gtest.h>
 
-#include "core/batch.hpp"
 #include "core/decoder.hpp"
 #include "fault/fault.hpp"
 #include "lm/ngram.hpp"
 #include "obs/metrics.hpp"
 #include "rules/checker.hpp"
 #include "rules/miner.hpp"
+#include "serve/serve.hpp"
 #include "telemetry/generator.hpp"
+#include "telemetry/text.hpp"
 
 namespace lejit::core {
 namespace {
@@ -33,7 +34,9 @@ struct Env {
   telemetry::RowLayout layout;
   std::vector<Window> windows;
   lm::CharTokenizer tokenizer{telemetry::row_alphabet()};
-  std::unique_ptr<lm::NgramModel> model;
+  // Small and untrained: kFull guidance keeps every emitted row compliant
+  // regardless of LM quality.
+  std::unique_ptr<lm::Transformer> model;
   rules::RuleSet manual;
 };
 
@@ -44,28 +47,36 @@ const Env& env() {
         .num_racks = 8, .windows_per_rack = 30, .seed = 5});
     out.layout = telemetry::telemetry_row_layout(out.dataset.limits);
     out.windows = telemetry::all_windows(out.dataset);
-    out.model = std::make_unique<lm::NgramModel>(
-        out.tokenizer.vocab_size(), lm::NgramConfig{.order = 6});
-    for (const Window& w : out.windows)
-      out.model->observe(out.tokenizer.encode(telemetry::window_to_row(w)));
+    util::Rng rng(5);
+    out.model = std::make_unique<lm::Transformer>(
+        lm::TransformerConfig{.vocab_size = out.tokenizer.vocab_size(),
+                              .d_model = 32,
+                              .n_layers = 2,
+                              .n_heads = 2,
+                              .d_ff = 48,
+                              .max_seq = 64},
+        rng);
     out.manual = rules::manual_rules(out.layout, out.dataset.limits);
     return out;
   }();
   return e;
 }
 
-// Resilient decoder factory: escalate unknowns, recover dead ends.
-DecoderFactory resilient_factory() {
-  return [] {
-    DecoderConfig config{.mode = GuidanceMode::kFull};
-    config.resilience.on_unknown = UnknownPolicy::kEscalate;
-    config.resilience.escalation_factor = 8;
-    config.resilience.max_escalations = 4;
-    config.resilience.retry_budget = 2;
-    return std::make_unique<GuidedDecoder>(*env().model, env().tokenizer,
-                                           env().layout, env().manual,
-                                           config);
-  };
+// Resilient decoder: escalate unknowns, recover dead ends.
+DecoderConfig resilient_config() {
+  DecoderConfig config{.mode = GuidanceMode::kFull};
+  config.resilience.on_unknown = UnknownPolicy::kEscalate;
+  config.resilience.escalation_factor = 8;
+  config.resilience.max_escalations = 4;
+  config.resilience.retry_budget = 2;
+  return config;
+}
+
+serve::Server resilient_server(int workers, std::uint64_t seed) {
+  return serve::Server(*env().model, env().tokenizer, env().layout,
+                       env().manual, resilient_config(),
+                       serve::ServeConfig{.workers = workers, .batch = 1,
+                                          .seed = seed});
 }
 
 std::int64_t counter_value(const char* name) {
@@ -77,7 +88,8 @@ TEST(ResilienceStress, AcceptanceBatchSurvivesUnknownStormAndRowFault) {
   const std::int64_t unknowns_before = counter_value("fault.injected_unknowns");
   const std::int64_t row_faults_before =
       counter_value("fault.injected_row_faults");
-  const std::int64_t degraded_before = counter_value("batch.degraded_rows");
+  const std::int64_t degraded_before = counter_value("serve.degraded_rows");
+  const std::int64_t retries_before = counter_value("serve.row_retries");
   const std::int64_t smt_unknowns_before = counter_value("smt.unknowns");
 
   fault::Plan plan;
@@ -86,29 +98,33 @@ TEST(ResilienceStress, AcceptanceBatchSurvivesUnknownStormAndRowFault) {
   plan.fail_rows = {{5, 99}};  // row 5 dies on every attempt → degraded
 
   fault::Counts injected;
-  BatchReport report;
+  std::vector<DecodeResult> results;
+  serve::ServeStats stats;
   {
     const fault::ScopedPlan scoped{plan};
-    std::vector<Window> prompts(env().windows.begin(),
-                                env().windows.begin() + 32);
-    BatchConfig config{.threads = 1, .seed = 13};  // exact determinism
-    config.row_retries = 1;
-    report = impute_batch(resilient_factory(), prompts, config);
+    std::vector<std::string> prompts;
+    for (std::size_t i = 0; i < 32; ++i)
+      prompts.push_back(telemetry::imputation_prompt(env().windows[i]));
+    serve::Server server = resilient_server(1, 13);  // exact determinism
+    results = server.run(prompts);
+    stats = server.stats();
     injected = fault::Injector::instance().counts();
   }
 
-  // The batch completed, and only the scripted row degraded.
-  ASSERT_EQ(report.results.size(), 32u);
-  EXPECT_EQ(report.degraded_rows, 1u);
-  EXPECT_EQ(report.results[5].reason, FailReason::kFault);
-  EXPECT_FALSE(report.results[5].ok);
-  EXPECT_EQ(report.row_retries, 1u);  // the scripted row's one retry
+  // The run completed, and only the scripted row degraded.
+  ASSERT_EQ(results.size(), 32u);
+  EXPECT_EQ(stats.degraded_rows, 1u);
+  EXPECT_EQ(results[5].reason, FailReason::kFault);
+  EXPECT_FALSE(results[5].ok);
+  // The scripted row's two retries.
+  EXPECT_EQ(stats.row_retries,
+            static_cast<std::uint64_t>(serve::Server::kRowAttempts - 1));
 
   // Every non-faulted row completed and violates nothing.
   std::int64_t unknown_checks = 0;
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
     if (i == 5) continue;
-    const DecodeResult& r = report.results[i];
+    const DecodeResult& r = results[i];
     ASSERT_TRUE(r.ok) << "row " << i << ": "
                       << fail_reason_name(r.reason) << " — " << r.fail_detail;
     EXPECT_TRUE(rules::violated_rules(env().manual, *r.window).empty())
@@ -122,14 +138,16 @@ TEST(ResilienceStress, AcceptanceBatchSurvivesUnknownStormAndRowFault) {
   EXPECT_GE(injected.unknowns * 10, injected.calls)
       << "plan promises ≥10% forced unknowns";
   EXPECT_GT(unknown_checks, 0);
-  EXPECT_EQ(injected.row_faults, 2);  // row 5: attempts 0 and 1
+  EXPECT_EQ(injected.row_faults, 3);  // row 5: attempts 0, 1 and 2
 
   // Observability agrees with the injector's ground truth.
   EXPECT_EQ(counter_value("fault.injected_unknowns") - unknowns_before,
             injected.unknowns);
   EXPECT_EQ(counter_value("fault.injected_row_faults") - row_faults_before,
             injected.row_faults);
-  EXPECT_EQ(counter_value("batch.degraded_rows") - degraded_before, 1);
+  EXPECT_EQ(counter_value("serve.degraded_rows") - degraded_before, 1);
+  EXPECT_EQ(counter_value("serve.row_retries") - retries_before,
+            static_cast<std::int64_t>(stats.row_retries));
   // Injected unknowns surface through the normal smt.unknowns counter too
   // (organic budget exhaustion could add more, never less).
   EXPECT_GE(counter_value("smt.unknowns") - smt_unknowns_before,
@@ -191,23 +209,24 @@ TEST(ResilienceStress, MultithreadedStormAssertsAggregatesOnly) {
   plan.fail_rows = {{3, 99}};
 
   fault::Counts injected;
-  BatchReport report;
+  std::vector<DecodeResult> results;
+  serve::ServeStats stats;
   {
     const fault::ScopedPlan scoped{plan};
-    BatchConfig config{.threads = 4, .seed = 23};
-    config.row_retries = 2;
-    report = synthesize_batch(resilient_factory(), 32, config);
+    serve::Server server = resilient_server(4, 23);
+    results = server.run(std::vector<std::string>(32));
+    stats = server.stats();
     injected = fault::Injector::instance().counts();
   }
 
-  ASSERT_EQ(report.results.size(), 32u);
+  ASSERT_EQ(results.size(), 32u);
   // The scripted row always degrades; LM throws may degrade a few more, but
-  // the batch itself never dies and the ledger stays consistent.
-  EXPECT_GE(report.degraded_rows, 1u);
-  EXPECT_FALSE(report.results[3].ok);
-  EXPECT_EQ(report.results[3].reason, FailReason::kFault);
+  // the run itself never dies and the ledger stays consistent.
+  EXPECT_GE(stats.degraded_rows, 1u);
+  EXPECT_FALSE(results[3].ok);
+  EXPECT_EQ(results[3].reason, FailReason::kFault);
   std::size_t ok = 0, faulted = 0;
-  for (const DecodeResult& r : report.results) {
+  for (const DecodeResult& r : results) {
     if (r.ok) {
       ++ok;
       EXPECT_TRUE(rules::violated_rules(env().manual, *r.window).empty())
@@ -219,9 +238,9 @@ TEST(ResilienceStress, MultithreadedStormAssertsAggregatesOnly) {
       if (r.reason == FailReason::kFault) ++faulted;
     }
   }
-  EXPECT_EQ(faulted, report.degraded_rows);
+  EXPECT_EQ(faulted, stats.degraded_rows);
   EXPECT_GT(ok, 16u) << "the storm must not drown the majority of rows";
-  EXPECT_GE(report.row_retries, 1u);
+  EXPECT_GE(stats.row_retries, 1u);
 
   // Counter/ground-truth agreement holds regardless of schedule.
   EXPECT_EQ(counter_value("fault.injected_unknowns") - unknowns_before,

@@ -2,8 +2,8 @@
 // tsan job runs this binary under ThreadSanitizer via the stress-tsan
 // preset).
 //
-// Two hazards are pinned here:
-//   1. Sharing ONE Transformer instance across batch worker threads races
+// Three hazards are pinned here:
+//   1. Sharing ONE Transformer instance across decoder threads races
 //      its internal KV cache. The ReentrancyGuard on Transformer::logits()
 //      must catch that misuse deterministically — abort with a message
 //      naming the fix — instead of silently corrupting decoded text.
@@ -11,16 +11,21 @@
 //      stay data-race-free and bit-identical to sequential decode under
 //      maximum contention: more runnable session threads than cores,
 //      repeated run() reuse, sessions retiring at different times.
+//   3. A server whose sessions cannot be built must throw from its
+//      constructor without hanging or leaving a session thread behind.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/decoder.hpp"
 #include "rules/miner.hpp"
+#include "rules/parser.hpp"
 #include "serve/serve.hpp"
 #include "telemetry/generator.hpp"
 #include "telemetry/text.hpp"
@@ -63,23 +68,43 @@ core::DecoderConfig full_config() {
   return core::DecoderConfig{.mode = core::GuidanceMode::kFull};
 }
 
-// Hazard 1: a DecoderFactory that closes over ONE shared Transformer hands
-// the same internal KV cache to every batch worker. The guard must turn
-// that race into a deterministic abort pointing at TransformerSession.
+// Decode `rows_per_thread` rows on each of four plain threads, one
+// GuidedDecoder per thread over the LanguageModel `lm_for(t)` hands out.
+template <typename LmFor>
+std::vector<core::DecodeResult> decode_on_threads(LmFor&& lm_for,
+                                                  std::size_t rows_per_thread) {
+  constexpr std::size_t kThreads = 4;
+  std::vector<core::DecodeResult> results(kThreads * rows_per_thread);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      core::GuidedDecoder decoder(lm_for(t), env().tokenizer, env().layout,
+                                  env().mined, full_config());
+      for (std::size_t r = 0; r < rows_per_thread; ++r) {
+        const std::size_t row = t * rows_per_thread + r;
+        util::Rng rng = core::row_rng(6, row, 0);
+        results[row] = decoder.generate(rng);
+      }
+    });
+  for (auto& thread : threads) thread.join();
+  return results;
+}
+
+// Hazard 1: decoders on several threads over ONE shared Transformer share
+// its internal KV cache. The guard must turn that race into a deterministic
+// abort pointing at TransformerSession.
 TEST(ServeStressDeathTest, SharedTransformerAcrossBatchWorkersAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const core::DecoderFactory shared_model_factory = [] {
-    return std::make_unique<core::GuidedDecoder>(
-        *env().model, env().tokenizer, env().layout, env().mined,
-        full_config());
-  };
   EXPECT_DEATH(
       {
         // Plenty of rows on several threads: each decode step calls
         // logits(), so overlapping entry is immediate and the guard fires
-        // long before the batch completes.
-        (void)core::synthesize_batch(shared_model_factory, 32,
-                                     core::BatchConfig{.threads = 4});
+        // long before the rows complete.
+        (void)decode_on_threads(
+            [](std::size_t) -> const lm::LanguageModel& {
+              return *env().model;
+            },
+            8);
       },
       "entered concurrently");
 }
@@ -89,25 +114,15 @@ TEST(ServeStressDeathTest, SharedTransformerAcrossBatchWorkersAborts) {
 // runtime (which routes forwards through the Batcher, never the internal
 // cache).
 TEST(ServeStress, PerThreadSessionsDecodeTheSharedModelSafely) {
-  // The factory runs concurrently on the worker threads, so the session
-  // pool keeping the borrowed LanguageModels alive needs its own lock.
-  std::mutex mu;
   std::vector<std::unique_ptr<lm::TransformerSession>> sessions;
-  const core::DecoderFactory session_factory = [&] {
-    auto session = std::make_unique<lm::TransformerSession>(*env().model);
-    lm::TransformerSession& view = *session;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      sessions.push_back(std::move(session));
-    }
-    return std::make_unique<core::GuidedDecoder>(
-        view, env().tokenizer, env().layout, env().mined, full_config());
-  };
-  const core::BatchReport report = core::synthesize_batch(
-      session_factory, 24, core::BatchConfig{.threads = 4, .seed = 6});
-  ASSERT_EQ(report.results.size(), 24u);
-  EXPECT_EQ(report.ok, 24u);
-  EXPECT_EQ(report.degraded_rows, 0u);
+  for (int t = 0; t < 4; ++t)
+    sessions.push_back(std::make_unique<lm::TransformerSession>(*env().model));
+  const auto results = decode_on_threads(
+      [&](std::size_t t) -> const lm::LanguageModel& { return *sessions[t]; },
+      6);
+  ASSERT_EQ(results.size(), 24u);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_TRUE(results[i].ok) << "row " << i << ": " << results[i].fail_detail;
 }
 
 // Hazard 2: oversubscribed serve under tsan. 16 session threads on a small
@@ -138,6 +153,32 @@ TEST(ServeStress, OversubscribedServerStaysBitIdenticalAcrossRuns) {
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.rows, 96u);
   EXPECT_EQ(stats.degraded_rows, 0u);
+}
+
+std::size_t live_threads() {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) return 0;
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
+
+// Hazard 3: every session's decoder constructor throws (load-time lint over
+// a contradictory rule set). The Server constructor must surface that error
+// rather than hang, and start no session thread that could outlive it.
+TEST(ServeStress, UnconstructibleSessionsThrowFromTheConstructor) {
+  const auto parsed =
+      rules::parse_rules("egress >= 50\negress <= 40\n", env().layout);
+  ASSERT_TRUE(parsed.ok());
+  core::DecoderConfig config = full_config();
+  config.lint_on_load = true;
+
+  const std::size_t threads_before = live_threads();
+  EXPECT_THROW(Server(*env().model, env().tokenizer, env().layout,
+                      parsed.rules, config,
+                      ServeConfig{.workers = 2, .batch = 2}),
+               util::RuntimeError);
+  EXPECT_EQ(live_threads(), threads_before);
 }
 
 }  // namespace

@@ -417,7 +417,8 @@ int cmd_serve_bench(const Args& args) {
                    1)
             << " rows/s) with " << serve_config.workers << " worker(s) x "
             << serve_config.batch << " session(s); " << ok << " ok, "
-            << stats.degraded_rows << " degraded; mean batch width "
+            << stats.degraded_rows << " degraded, " << stats.row_retries
+            << " row retries; mean batch width "
             << util::format_double(stats.mean_batch_width(), 2) << " over "
             << stats.batched_forwards << " batched forwards\n";
 
