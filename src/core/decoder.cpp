@@ -85,12 +85,6 @@ class StatsFlush {
     c_table_hits.add(result_.stats.plan_table_hits);
     c_sliced.add(result_.stats.plan_sliced_queries);
     c_sliced_rules.add(result_.stats.plan_sliced_rules);
-    static obs::Counter& c_absint_checks =
-        registry.counter("decode.absint.prefilter_checks");
-    static obs::Counter& c_absint_hits =
-        registry.counter("decode.absint.prefilter_hits");
-    c_absint_checks.add(result_.stats.absint_checks);
-    c_absint_hits.add(result_.stats.absint_hits);
     // Mean fraction of the rule set a sliced query asserted (vs. the full
     // set an unplanned query drags through propagation), cumulative.
     if (num_rules_ > 0 && c_sliced.value() > 0)
@@ -191,18 +185,6 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
   vars_ = rules::declare_fields(*solver_, layout_);
   rules::assert_rules(*solver_, rules_);
 
-  // Abstract interpretation of the rule set (DESIGN.md §16): one load-time
-  // fixpoint powers the kFull prefilter and tightens the cache's static
-  // hulls. kHull masking itself is untouched — its hole-blind hull semantics
-  // are the ablation under measure — but a kHull row can escalate into kFull
-  // mid-batch, so the state is maintained for both solver-guided modes.
-  if (config_.absint && (config_.mode == GuidanceMode::kFull ||
-                         config_.mode == GuidanceMode::kHull)) {
-    const absint::Analysis analysis = absint::analyze(rules_, layout_);
-    absint_base_ = analysis.fields;
-    absint_on_ = true;
-  }
-
   if (config_.lint_on_load) {
     const obs::Span span(obs::Phase::kLint);
     lint::Report report = lint::analyze(rules_, layout_, config_.lint);
@@ -211,17 +193,15 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
                                lint::to_text(report));
     lint_report_ = std::move(report);
   }
-  if (config_.cache && (absint_on_ || lint_report_)) {
-    // Hand the static field hulls to the cache: lint's exact hulls and
-    // witnesses serve the attempt-start fingerprint directly, absint's
-    // fixpoint intervals tighten every fingerprint's propagated fallback
-    // (intersecting can never shrink an exact hull — the abstraction
-    // over-approximates the very feasible set that hull is the min/max of).
+  if (config_.cache && lint_report_) {
+    // Hand lint's static field hulls to the cache: their exact bounds and
+    // witnesses serve the attempt-start fingerprint directly, and their
+    // bounds tighten every later fingerprint's propagated fallback.
     const auto nf = static_cast<std::size_t>(layout_.num_fields());
     std::vector<FeasibilityCache::Hull> hulls(nf);
     for (std::size_t f = 0; f < nf; ++f) {
       FeasibilityCache::Hull& entry = hulls[f];
-      if (lint_report_ && f < lint_report_->hulls.size()) {
+      if (f < lint_report_->hulls.size()) {
         const lint::FieldHull& h = lint_report_->hulls[f];
         entry.bounds = h.bounds;
         entry.exact = h.exact;
@@ -229,8 +209,6 @@ GuidedDecoder::GuidedDecoder(const lm::LanguageModel& model,
       } else {
         entry.bounds = {0, layout_.fields[f].max_value};
       }
-      if (absint_on_)
-        entry.bounds = intersect(entry.bounds, absint_base_[f].range);
     }
     cache_.seed_static_hulls(std::move(hulls));
   }
@@ -480,21 +458,37 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     }
     return r;
   };
-  const auto check_under_policy = [&](std::span<const smt::Formula> fs) {
-    return check_on(*solver_, fs);
-  };
 
-  // Policy-mediated satisfiability: kUnknown is escalated and/or mapped to
-  // the configured meaning instead of silently reading as infeasible.
-  const auto sat_on = [&](smt::Backend& solver,
-                          std::span<const smt::Formula> fs) {
-    const smt::CheckResult r = check_on(solver, fs);
-    if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-    return r == smt::CheckResult::kSat;
+  // Policy-mediated satisfiability of `fs` on `solver`: kUnknown is escalated
+  // and/or mapped to the configured meaning instead of silently reading as
+  // infeasible. With caching on, the raw verdict is memoized under `key`, and
+  // a memoized kUnknown counts and maps exactly like a fresh one. `on_sat`
+  // runs after a fresh kSat check, while the solver still holds its model.
+  struct VerdictKey {
+    QueryKind kind;
+    std::uint64_t fp;
+    int field;
+    Int value;
+    int digits;
   };
-  const auto sat_under_policy = [&](std::span<const smt::Formula> fs) {
-    return sat_on(*solver_, fs);
+  const auto feasible_on = [&](smt::Backend& solver,
+                               std::span<const smt::Formula> fs,
+                               const VerdictKey& key, const auto& on_sat) {
+    std::optional<smt::CheckResult> r;
+    if (use_cache)
+      r = cache_.lookup(key.kind, key.fp, key.field, key.value, key.digits);
+    if (!r) {
+      r = check_on(solver, fs);
+      if (use_cache)
+        cache_.store(key.kind, key.fp, key.field, key.value, key.digits, *r);
+      if (*r == smt::CheckResult::kSat) on_sat();
+    } else if (*r == smt::CheckResult::kUnknown) {
+      ++result.stats.unknown_checks;  // check_on counts the fresh ones
+    }
+    if (*r == smt::CheckResult::kUnknown) return unknown_is_feasible;
+    return *r == smt::CheckResult::kSat;
   };
+  const auto no_witness = [] {};
 
   // Policy-mediated hull query (kHull mode). A conclusive hull — cached or
   // freshly computed — is the exact feasible range. When even the escalated
@@ -623,18 +617,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     // and keep the cluster provably satisfiable.
     bool replaying = true;
 
-    // Fresh abstract state for this attempt: the load-time fixpoint, refined
-    // below by this attempt's bans and (through pin_field) its pins. Learning
-    // a formula may drive the state to all-bottom — that is the abstraction
-    // proving rules ∧ pins ∧ bans unsat, so the prefilter refuting every
-    // subsequent query matches what the solver would answer.
-    if (absint_on_) absint_state_ = absint_base_;
-    const auto absint_learn = [&](const smt::Formula& f) {
-      if (!absint_on_) return;
-      if (absint::refine(absint_state_, f))
-        (void)absint::refine_all(absint_state_, rules_);
-    };
-
     // Re-assert dead-end bans inside this attempt's scope. Each ban records a
     // pin the solver proved infeasible, so excluding it cannot remove a value
     // a compliant row needs (at worst it narrows diversity near the ban).
@@ -645,7 +627,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
             smt::ne(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
                     smt::LinExpr(value));
         solver_->add(ban_f);
-        absint_learn(ban_f);
         fp = mix_pin(fp, kPinTagBan, field, value);
         if (plan_attempt) {
           const std::size_t c = static_cast<std::size_t>(
@@ -680,7 +661,6 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
           smt::eq(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
                   smt::LinExpr(value));
       solver_->add(pin_f);
-      absint_learn(pin_f);
       if (plan_attempt) {
         const int c = plan_->field_cluster[static_cast<std::size_t>(field)];
         if (c >= 0 && cluster_solvers_[static_cast<std::size_t>(c)]) {
@@ -691,9 +671,7 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
                 mix_pin(cfp[static_cast<std::size_t>(c)], kPinTagPin, field,
                         value);
           }
-          cs.add(
-              smt::eq(smt::LinExpr(vars_[static_cast<std::size_t>(field)]),
-                      smt::LinExpr(value)));
+          cs.add(pin_f);
           cluster_dirty[static_cast<std::size_t>(c)] = 1;
           cluster_state[static_cast<std::size_t>(c)] =
               replaying ? static_cast<signed char>(-1)
@@ -707,19 +685,9 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
 
     // Satisfiability of the pinned state itself (prompt feasibility and the
     // kHull post-pin hole check), memoized on the fingerprint alone.
-    const auto pinned_state_feasible = [&]() -> bool {
-      if (!use_cache) return sat_under_policy({});
-      if (const auto v =
-              cache_.lookup(QueryKind::kPinned, fp, -1, 0, 0)) {
-        if (*v == smt::CheckResult::kSat) return true;
-        if (*v == smt::CheckResult::kUnsat) return false;
-        ++result.stats.unknown_checks;
-        return unknown_is_feasible;
-      }
-      const smt::CheckResult r = check_under_policy({});
-      cache_.store(QueryKind::kPinned, fp, -1, 0, 0, r);
-      if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-      return r == smt::CheckResult::kSat;
+    const auto pinned_state_feasible = [&] {
+      return feasible_on(*solver_, {}, {QueryKind::kPinned, fp, -1, 0, 0},
+                         no_witness);
     };
 
     // Plan attempts: is cluster d's pinned state satisfiable? A sliced query
@@ -732,32 +700,14 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
     const auto cluster_feasible = [&](std::size_t d) -> bool {
       if (cluster_state[d] == 1) return true;
       if (cluster_state[d] == 0) return false;
+      // A null slice is a fully prompt-determined cluster: its pins passed
+      // the prompt feasibility check, and nothing since could have touched it.
       smt::Backend* const cs = cluster_solvers_[d].get();
-      bool ok = true;
-      if (cs == nullptr) {
-        // Fully prompt-determined cluster: its pins passed the prompt
-        // feasibility check, and nothing since could have touched it.
-      } else if (use_cache) {
-        const int key_field = -(static_cast<int>(d) + 2);
-        if (const auto v =
-                cache_.lookup(QueryKind::kPinned, cfp[d], key_field, 0, 0)) {
-          if (*v == smt::CheckResult::kUnknown) {
-            ++result.stats.unknown_checks;
-            ok = unknown_is_feasible;
-          } else {
-            ok = *v == smt::CheckResult::kSat;
-          }
-        } else {
-          const smt::CheckResult r = check_on(*cs, {});
-          cache_.store(QueryKind::kPinned, cfp[d], key_field, 0, 0, r);
-          ok = r == smt::CheckResult::kSat ||
-               (r == smt::CheckResult::kUnknown && unknown_is_feasible);
-        }
-      } else {
-        const smt::CheckResult r = check_on(*cs, {});
-        ok = r == smt::CheckResult::kSat ||
-             (r == smt::CheckResult::kUnknown && unknown_is_feasible);
-      }
+      const int key_field = -(static_cast<int>(d) + 2);
+      const bool ok =
+          cs == nullptr ||
+          feasible_on(*cs, {}, {QueryKind::kPinned, cfp[d], key_field, 0, 0},
+                      no_witness);
       cluster_state[d] = ok ? 1 : 0;
       return ok;
     };
@@ -927,113 +877,89 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         }
       }
 
-      // Absint prefilter (DESIGN.md §16): consult this attempt's abstract
-      // state before the cache and before any solver work. The abstraction
-      // only ever refutes, and a refutation is a proof, so a hit masks out
-      // exactly the candidates the solver would have rejected — decoded text
-      // is bit-identical with the prefilter on or off. One global state
-      // serves plan cluster slices too: rules and pins only touch the fields
-      // they reference, so per-field the state already equals the refinement
-      // under that field's cluster alone.
-      const bool absint_live = absint_on_ && mode == GuidanceMode::kFull;
-      const auto absint_refutes_completion = [&](const DigitPrefix& p) {
-        if (!absint_live) return false;
-        ++result.stats.absint_checks;
-        if (absint::completion_admitted(
-                absint_state_[static_cast<std::size_t>(walk.field)], p.value,
-                p.digits, max_digits))
-          return false;
-        ++result.stats.absint_hits;
-        return true;
+      // Candidate feasibility in kFull mode, asked of qsolver under qfp. With
+      // caching on, interval arithmetic over the field's hull and witnesses
+      // answers first, then the verdict memo; every early answer matches
+      // what the solver would say, so masks — and therefore decoded text —
+      // are bit-identical to the uncached path.
+      const auto hull_verdict = [](bool feasible) {
+        if (obs::metrics_enabled()) hull_conclusive_counter().inc();
+        return feasible;
       };
-      const auto absint_refutes_value = [&](Int value) {
-        if (!absint_live) return false;
-        ++result.stats.absint_checks;
-        if (absint::admits_value(
-                absint_state_[static_cast<std::size_t>(walk.field)], value))
-          return false;
-        ++result.stats.absint_hits;
-        return true;
-      };
-
-      // Candidate feasibility in kFull mode with caching: the absint
-      // prefilter, then interval arithmetic, then the verdict memo, then the
-      // solver. `exact` answers from the early tiers match what the solver
-      // would say, so masks — and therefore decoded text — are bit-identical
-      // to the uncached path.
-      const auto cached_completion_feasible = [&](const DigitPrefix& p) {
-        if (absint_refutes_completion(p)) return false;
-        // Completions that miss the hull are infeasible (the hull is the
-        // feasible set's interval over-approximation); ones containing a
-        // known-feasible value are feasible.
-        if (!completion_intersects(p, max_digits, full_hull->bounds)) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return false;
-        }
-        for (const Int w : full_hull->witnesses)
-          if (completion_contains(p, max_digits, w)) {
-            if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-            return true;
-          }
-        if (full_hull->exact &&
-            (completion_contains(p, max_digits, full_hull->bounds.lo) ||
-             completion_contains(p, max_digits, full_hull->bounds.hi))) {
+      const auto completion_feasible = [&](const DigitPrefix& p) {
+        if (use_cache) {
+          // Completions that miss the hull are infeasible (the hull is the
+          // feasible set's interval over-approximation); ones containing a
+          // known-feasible value are feasible.
+          if (!completion_intersects(p, max_digits, full_hull->bounds))
+            return hull_verdict(false);
+          for (const Int w : full_hull->witnesses)
+            if (completion_contains(p, max_digits, w))
+              return hull_verdict(true);
           // Exact-hull endpoints are feasible by construction.
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return true;
-        }
-        if (const auto v = cache_.lookup(QueryKind::kCompletion, qfp,
-                                         walk.field, p.value, p.digits)) {
-          if (*v == smt::CheckResult::kSat) return true;
-          if (*v == smt::CheckResult::kUnsat) return false;
-          ++result.stats.unknown_checks;
-          return unknown_is_feasible;
+          if (full_hull->exact &&
+              (completion_contains(p, max_digits, full_hull->bounds.lo) ||
+               completion_contains(p, max_digits, full_hull->bounds.hi)))
+            return hull_verdict(true);
         }
         const smt::Formula f = prefix_completion_formula(var, p, max_digits);
-        const smt::CheckResult r = check_on(*qsolver, std::span(&f, 1));
-        cache_.store(QueryKind::kCompletion, qfp, walk.field, p.value,
-                     p.digits, r);
-        if (r == smt::CheckResult::kSat) {
-          // Backends may lose the model (e.g. a degraded external check);
-          // a missing witness is only a cache miss, never an error.
-          if (const auto w = qsolver->model_value(var))
-            full_hull->add_witness(*w);
-          return true;
-        }
-        if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-        return false;
+        return feasible_on(
+            *qsolver, std::span(&f, 1),
+            {QueryKind::kCompletion, qfp, walk.field, p.value, p.digits},
+            [&] {
+              // Backends may lose the model (e.g. a degraded external
+              // check); a missing witness is only a cache miss, never an
+              // error.
+              if (!use_cache) return;
+              if (const auto w = qsolver->model_value(var))
+                full_hull->add_witness(*w);
+            });
       };
 
       // Same tiers for pinning the field to its exact current value.
-      const auto cached_exact_feasible = [&](Int value) {
-        if (absint_refutes_value(value)) return false;
-        if (!full_hull->bounds.contains(value)) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return false;
+      const auto exact_feasible = [&](Int value) {
+        if (use_cache) {
+          if (!full_hull->bounds.contains(value)) return hull_verdict(false);
+          if (full_hull->has_witness(value) ||
+              (full_hull->exact && (value == full_hull->bounds.lo ||
+                                    value == full_hull->bounds.hi)))
+            return hull_verdict(true);
         }
-        if (full_hull->has_witness(value) ||
-            (full_hull->exact && (value == full_hull->bounds.lo ||
-                                  value == full_hull->bounds.hi))) {
-          if (obs::metrics_enabled()) hull_conclusive_counter().inc();
-          return true;
+        const smt::Formula f = smt::eq(smt::LinExpr(var), smt::LinExpr(value));
+        return feasible_on(*qsolver, std::span(&f, 1),
+                           {QueryKind::kExact, qfp, walk.field, value, 0},
+                           [&] {
+                             if (use_cache) full_hull->add_witness(value);
+                           });
+      };
+
+      // What the decode plan settles about one candidate — digit `bit`, or
+      // plan::kTerminatorBit — before any solver query: an unsatisfiable
+      // other cluster, the verified table bits, and for a field no rule
+      // references the exact domain verdict `in_domain()`. nullopt sends the
+      // query on to qsolver (the cluster slice: a sliced query).
+      const auto plan_verdict = [&](int bit, const auto& in_domain)
+          -> std::optional<bool> {
+        if (!plan_attempt) return std::nullopt;
+        if (!others_ok) return false;
+        const int k = walk.digits.digits;
+        if (table && table->row_verified(k)) {
+          // never is monotone-sound under any pins/bans (they only remove
+          // completions); always needs the clean-cluster gate.
+          if (table->never_bit(k, bit)) {
+            ++result.stats.plan_table_hits;
+            return false;
+          }
+          if (always_ok && table->always_bit(k, bit)) {
+            ++result.stats.plan_table_hits;
+            return true;
+          }
         }
-        if (const auto v = cache_.lookup(QueryKind::kExact, qfp, walk.field,
-                                         value, 0)) {
-          if (*v == smt::CheckResult::kSat) return true;
-          if (*v == smt::CheckResult::kUnsat) return false;
-          ++result.stats.unknown_checks;
-          return unknown_is_feasible;
-        }
-        const smt::Formula f =
-            smt::eq(smt::LinExpr(var), smt::LinExpr(value));
-        const smt::CheckResult r = check_on(*qsolver, std::span(&f, 1));
-        cache_.store(QueryKind::kExact, qfp, walk.field, value, 0, r);
-        if (r == smt::CheckResult::kSat) {
-          full_hull->add_witness(value);
-          return true;
-        }
-        if (r == smt::CheckResult::kUnknown) return unknown_is_feasible;
-        return false;
+        if (plan_cluster == -1) return in_domain();
+        ++result.stats.plan_sliced_queries;
+        result.stats.plan_sliced_rules +=
+            cluster_live_rules_[static_cast<std::size_t>(plan_cluster)];
+        return std::nullopt;
       };
 
       // Digits that keep some completion reachable.
@@ -1042,50 +968,13 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
         const DigitPrefix next = walk.digits.extended(d);
         if (!prefix_syntactically_ok(next, max_digits)) continue;
         if (mode == GuidanceMode::kFull) {
-          if (plan_attempt) {
-            if (!others_ok) continue;
-            const int k = walk.digits.digits;
-            if (table && table->row_verified(k)) {
-              // never is monotone-sound under any pins/bans (they only
-              // remove completions); always needs the clean-cluster gate.
-              if (table->never_bit(k, d)) {
-                ++result.stats.plan_table_hits;
-                continue;
-              }
-              if (always_ok && table->always_bit(k, d)) {
-                ++result.stats.plan_table_hits;
-                allow(static_cast<char>('0' + d));
-                continue;
-              }
-            }
-            if (plan_cluster == -1) {
-              // No rule references this field: completability against the
-              // declared domain is the exact verdict, solver-free.
-              if (!completion_intersects(
-                      next, max_digits,
-                      smt::Interval{0, spec.max_value}))
-                continue;
-            } else {
-              ++result.stats.plan_sliced_queries;
-              result.stats.plan_sliced_rules += cluster_live_rules_[
-                  static_cast<std::size_t>(plan_cluster)];
-              if (use_cache) {
-                if (!cached_completion_feasible(next)) continue;
-              } else {
-                if (absint_refutes_completion(next)) continue;
-                const smt::Formula f =
-                    prefix_completion_formula(var, next, max_digits);
-                if (!sat_on(*qsolver, std::span(&f, 1))) continue;
-              }
-            }
-          } else if (use_cache) {
-            if (!cached_completion_feasible(next)) continue;
-          } else {
-            if (absint_refutes_completion(next)) continue;
-            const smt::Formula f =
-                prefix_completion_formula(var, next, max_digits);
-            if (!sat_under_policy(std::span(&f, 1))) continue;
-          }
+          // No rule references an unclustered field: completability against
+          // the declared domain is the exact verdict, solver-free.
+          const std::optional<bool> planned = plan_verdict(d, [&] {
+            return completion_intersects(next, max_digits,
+                                         smt::Interval{0, spec.max_value});
+          });
+          if (!(planned ? *planned : completion_feasible(next))) continue;
         } else if (mode == GuidanceMode::kHull) {
           if (!completion_intersects(next, max_digits, *field_hull)) continue;
         }
@@ -1093,67 +982,24 @@ DecodeResult GuidedDecoder::generate(util::Rng& rng, std::string_view prompt) {
       }
       // Terminating the field on its exact current value.
       if (!walk.digits.empty()) {
-        bool can_end = true;
+        const Int value = walk.digits.value;
         // A banned value must not be re-pinned, whichever mode is active
         // (kFull would also learn this from the asserted ban).
+        bool can_end = true;
         for (const auto& [bf, bv] : banned) {
-          if (bf == walk.field && bv == walk.digits.value) {
+          if (bf == walk.field && bv == value) {
             can_end = false;
             break;
           }
         }
         if (can_end && mode == GuidanceMode::kFull) {
-          if (plan_attempt) {
-            if (!others_ok) {
-              can_end = false;
-            } else {
-              const int k = walk.digits.digits;
-              bool decided = false;
-              if (table && table->row_verified(k)) {
-                if (table->never_bit(k, plan::kTerminatorBit)) {
-                  ++result.stats.plan_table_hits;
-                  can_end = false;
-                  decided = true;
-                } else if (always_ok &&
-                           table->always_bit(k, plan::kTerminatorBit)) {
-                  ++result.stats.plan_table_hits;
-                  decided = true;  // can_end stays true
-                }
-              }
-              if (!decided) {
-                if (plan_cluster == -1) {
-                  // Unreferenced field: pinning to any in-domain value is
-                  // exactly as satisfiable as the rest of the state, which
-                  // others_ok just vouched for.
-                  can_end = walk.digits.value <= spec.max_value;
-                } else {
-                  ++result.stats.plan_sliced_queries;
-                  result.stats.plan_sliced_rules += cluster_live_rules_[
-                      static_cast<std::size_t>(plan_cluster)];
-                  if (use_cache) {
-                    can_end = cached_exact_feasible(walk.digits.value);
-                  } else if (absint_refutes_value(walk.digits.value)) {
-                    can_end = false;
-                  } else {
-                    const smt::Formula f =
-                        smt::eq(smt::LinExpr(var),
-                                smt::LinExpr(walk.digits.value));
-                    can_end = sat_on(*qsolver, std::span(&f, 1));
-                  }
-                }
-              }
-            }
-          } else if (use_cache) {
-            can_end = cached_exact_feasible(walk.digits.value);
-          } else if (absint_refutes_value(walk.digits.value)) {
-            can_end = false;
-          } else {
-            const smt::Formula f =
-                smt::eq(smt::LinExpr(var), smt::LinExpr(walk.digits.value));
-            can_end = sat_under_policy(std::span(&f, 1));
-          }
+          // Unclustered field: pinning any in-domain value is exactly as
+          // satisfiable as the rest of the state, which others_ok vouched for.
+          const std::optional<bool> planned = plan_verdict(
+              plan::kTerminatorBit, [&] { return value <= spec.max_value; });
+          can_end = planned ? *planned : exact_feasible(value);
         } else if (can_end && mode == GuidanceMode::kHull) {
-          can_end = field_hull->contains(walk.digits.value);
+          can_end = field_hull->contains(value);
         }
         if (can_end) allow(walk.terminator(layout_));
       }

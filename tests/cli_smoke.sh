@@ -62,6 +62,20 @@ run trace-output test -s trace.json
 run trace-content grep -q traceEvents trace.json
 run check "$CLI" check --rules rules.txt --rows rows.txt
 
+# Imputation over a coarse prompts file: every prompt row must reach the
+# decoder intact (none skipped as malformed) and the imputed rows must
+# comply with the rules.
+run prompts "$CLI" generate --racks 2 --windows 5 --seed 11 --coarse --out prompts.txt 2>/dev/null
+STAGE=impute
+echo "[cli_smoke] stage: $STAGE" >&2
+if ! "$CLI" impute --model model.bin --rules rules.txt --prompts prompts.txt \
+      --seed 5 2> impute_err.txt > imputed.txt ||
+   grep -q "malformed" impute_err.txt || ! test -s imputed.txt; then
+  echo "[cli_smoke] FAILED at stage: $STAGE" >&2
+  exit 1
+fi
+run impute-check "$CLI" check --rules rules.txt --rows imputed.txt
+
 # The compiled plan must load into a decode, drive it (plan counters in the
 # metrics export), and — the paper's invariant — change nothing about the
 # decoded rows: same seed, same text, so `check` still passes and the rows
@@ -103,20 +117,6 @@ if [ "$?" != 1 ] || ! grep -q "E_" verify_bad.txt; then
   echo "[cli_smoke] FAILED at stage: $STAGE" >&2
   exit 1
 fi
-
-# Abstract-interpretation prefilter (DESIGN.md §16): on by default, it must
-# refute real feasibility probes (decode.absint.prefilter_hits in the
-# metrics export) without changing a single decoded byte vs --no-absint —
-# the abstraction only ever refutes, and a refutation is a proof.
-run absint-metrics grep -q "decode.absint.prefilter_hits" metrics.json
-STAGE=synth-no-absint
-echo "[cli_smoke] stage: $STAGE" >&2
-if ! "$CLI" synth --model model.bin --rules rules.txt --count 6 --seed 9 \
-      --no-absint 2>/dev/null > rows_noabsint.txt; then
-  echo "[cli_smoke] FAILED at stage: $STAGE" >&2
-  exit 1
-fi
-run absint-bit-identical cmp rows.txt rows_noabsint.txt
 
 # Decoding with --verify-plan engages the verifier as a load gate and must
 # not change a single decoded byte.

@@ -407,6 +407,50 @@ TEST(PlanDecode, BitIdenticalWithCacheDisabled) {
   }
 }
 
+// Every combination of plan × cache × lint_on_load routes kFull queries
+// through the same tiers (plan tables, cluster slices, lint-seeded static
+// hulls, the verdict memo) and must decode exactly what the plain uncached
+// reference decodes, on synthesis and imputation prompts alike.
+TEST(PlanDecode, BitIdenticalAcrossPlanCacheAndLint) {
+  const DecodePlan compiled = compile(env().mined, env().layout);
+  ASSERT_TRUE(compiled.active());
+  DecoderConfig ref_cfg{.mode = GuidanceMode::kFull};
+  ref_cfg.cache = false;
+  GuidedDecoder reference(*env().model, env().tokenizer, env().layout,
+                          env().mined, std::move(ref_cfg));
+  for (const bool planned : {false, true}) {
+    for (const bool cache : {false, true}) {
+      for (const bool lint : {false, true}) {
+        if (!planned && !cache && !lint) continue;  // the reference itself
+        SCOPED_TRACE(testing::Message() << "plan " << planned << " cache "
+                                        << cache << " lint " << lint);
+        DecoderConfig cfg{.mode = GuidanceMode::kFull};
+        if (planned) cfg.plan = compiled;
+        cfg.cache = cache;
+        cfg.lint_on_load = lint;
+        GuidedDecoder dec(*env().model, env().tokenizer, env().layout,
+                          env().mined, std::move(cfg));
+        std::int64_t plan_answers = 0;
+        DecodeResult r;
+        for (int seed = 0; seed < 4; ++seed) {
+          expect_identical_rows(dec, reference, 60 + seed, {}, &r);
+          plan_answers += r.stats.plan_table_hits + r.stats.plan_sliced_queries;
+          const Window& truth =
+              env().test[static_cast<std::size_t>(seed) % env().test.size()];
+          expect_identical_rows(dec, reference, 560 + seed,
+                                telemetry::imputation_prompt(truth), &r);
+          plan_answers += r.stats.plan_table_hits + r.stats.plan_sliced_queries;
+        }
+        EXPECT_EQ(plan_answers > 0, planned);
+        EXPECT_EQ(dec.lint_report().has_value(), lint);
+        if (cache && lint) {
+          EXPECT_GT(dec.cache_stats().static_hits, 0);
+        }
+      }
+    }
+  }
+}
+
 TEST(PlanDecode, MergedClustersNeverChangeVerdicts) {
   // Two independent single-field rules on the telemetry layout: x-style
   // bound on field 0 and on field 1 → two clusters. Coarsening the
