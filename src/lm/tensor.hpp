@@ -1,8 +1,8 @@
 // Minimal dense-matrix support for the transformer.
 //
 // Row-major float matrices with the three GEMM variants backprop needs.
-// Everything is sized for nano-scale models (d_model ≤ 128, seq ≤ 256), so
-// clarity beats blocking/vectorization tricks here.
+// Inference does not use these GEMMs: its tiled kernels are in
+// transformer.cpp (DESIGN.md §13.3).
 #pragma once
 
 #include <span>

@@ -1,15 +1,18 @@
 #include "lm/transformer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numbers>
 #include <thread>
 
 #include "fault/fault.hpp"
+#include "lm/forward.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "util/error.hpp"
@@ -152,6 +155,121 @@ struct ForwardCache {
   Mat logits;
 };
 
+// --- inference kernels (DESIGN.md §13.3): always inlined into Impl::sweep_* --
+
+using F32x4 = float __attribute__((vector_size(16)));
+using F32x8 = float __attribute__((vector_size(32)));
+
+// Rows [0, R) × columns [j, j + C·lanes(V)) of out = b + x·W (V is plain
+// float for ragged columns). Each element starts from its bias and adds
+// x[r][i]·w[i][j] for ascending i, skipping exact-zero inputs, as a multiply
+// then an add: the same float operations however rows and columns are tiled.
+template <int R, int C, class V>
+[[gnu::always_inline]] inline void matmul_tile(const float* x, int m,
+                                               const float* w, const float* b,
+                                               int n, float* out, int j) {
+  constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
+  // Fully unrolled, so the R·C accumulators stay in registers.
+  V acc[R * C];
+#pragma GCC unroll 8
+  for (int k = 0; k < R * C; ++k)
+    std::memcpy(&acc[k], b + j + k % C * kLanes, sizeof(V));
+  for (int i = 0; i < m; ++i) {
+    V wv[C];
+    for (int c = 0; c < C; ++c)
+      std::memcpy(&wv[c], w + i * n + j + c * kLanes, sizeof(V));
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float xi = x[r * m + i];
+      if (xi == 0.0f) continue;
+      for (int c = 0; c < C; ++c) acc[r * C + c] += xi * wv[c];
+    }
+  }
+#pragma GCC unroll 8
+  for (int k = 0; k < R * C; ++k)
+    std::memcpy(out + k / C * n + j + k % C * kLanes, &acc[k], sizeof(V));
+}
+
+// Rows [0, R) of out = b + x·W: 2-vector tiles, then scalar columns.
+template <int R, class V>
+[[gnu::always_inline]] inline void matmul_block(const float* x, int m,
+                                                const float* w, const float* b,
+                                                int n, float* out) {
+  constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
+  int j = 0;
+  for (; j + 2 * kLanes <= n; j += 2 * kLanes)
+    matmul_tile<R, 2, V>(x, m, w, b, n, out, j);
+  for (; j < n; ++j) matmul_tile<R, 1, float>(x, m, w, b, n, out, j);
+}
+
+// out (rows×n) = b + x (rows×m) · w (m×n), in 4-row × 2-vector tiles.
+template <class V>
+[[gnu::always_inline]] inline void tiled_matmul(const float* x, int rows, int m,
+                                                const float* w, const float* b,
+                                                int n, float* out) {
+  int r = 0;
+  for (; r + 4 <= rows; r += 4)
+    matmul_block<4, V>(x + r * m, m, w, b, n, out + r * n);
+  for (; r < rows; ++r) matmul_block<1, V>(x + r * m, m, w, b, n, out + r * n);
+}
+
+// LayerNorm of one d-vector.
+[[gnu::always_inline]] inline void ln_vec(const float* x, const Param& gamma,
+                                          const Param& beta, int d,
+                                          float* out) {
+  float mean = 0.0f;
+  for (int i = 0; i < d; ++i) mean += x[i];
+  mean /= static_cast<float>(d);
+  float var = 0.0f;
+  for (int i = 0; i < d; ++i) {
+    const float c = x[i] - mean;
+    var += c * c;
+  }
+  const float rstd = 1.0f / std::sqrt(var / static_cast<float>(d) + 1e-5f);
+  for (int i = 0; i < d; ++i)
+    out[i] = (x[i] - mean) * rstd * gamma.w.data[static_cast<std::size_t>(i)] +
+             beta.w.data[static_cast<std::size_t>(i)];
+}
+
+// Causal attention of the query row `q` at position t over cache rows 0..t,
+// head by head; `att` is t+1 floats of scratch, `ctx` the nh·dh output.
+[[gnu::always_inline]] inline void attend(const float* q, const Mat& kc,
+                                          const Mat& vc, int t, int nh, int dh,
+                                          float scale, float* att, float* ctx) {
+  std::fill(ctx, ctx + nh * dh, 0.0f);
+  for (int h = 0; h < nh; ++h) {
+    const int off = h * dh;
+    float maxv = -1e30f;
+    for (int u = 0; u <= t; ++u) {
+      const float* ku = kc.row(u) + off;
+      float acc = 0.0f;
+      for (int i = 0; i < dh; ++i) acc += q[off + i] * ku[i];
+      att[u] = acc * scale;
+      maxv = std::max(maxv, att[u]);
+    }
+    float total = 0.0f;
+    for (int u = 0; u <= t; ++u) {
+      att[u] = std::exp(att[u] - maxv);
+      total += att[u];
+    }
+    const float inv = 1.0f / total;
+    float* ch = ctx + off;
+    for (int u = 0; u <= t; ++u) {
+      const float a = att[u] * inv;
+      const float* vu = vc.row(u) + off;
+      for (int i = 0; i < dh; ++i) ch[i] += a * vu[i];
+    }
+  }
+}
+
+// Per-thread inference scratch, kept across forwards. Per row: x residual
+// stream, a LayerNorm output then attention context, big QKV then MLP hidden
+// layer, tmp a residual branch. Rows go by session, positions ascending.
+struct Workspace {
+  std::vector<float> x, a, big, tmp, att;
+  std::vector<int> session, pos;  // per row
+};
+
 }  // namespace
 
 struct Transformer::Impl {
@@ -174,16 +292,83 @@ struct Transformer::Impl {
   // Lazily size a cache for this model and reject caches shaped for another.
   void ensure_cache_shape(KvCache& kv) const;
 
-  // Incremental forward: reuse cached K/V for the common prefix of `ids`,
-  // process only the new suffix, return logits at the last position.
-  std::vector<float> decode_logits(const std::vector<int>& ids,
-                                   KvCache& kv) const;
+  // The inference forward (DESIGN.md §13.3): every session's positions past
+  // its cached common prefix run through each layer together as one list of
+  // rows. Returns the logits at each session's last position.
+  using Logits = std::vector<std::vector<float>>;
+  Logits forward_rows(std::span<const std::vector<int>> ids,
+                      std::span<KvCache* const> caches, detail::Isa isa) const;
 
-  // Batched incremental forward over independent (ids, cache) sessions;
-  // bit-identical per session to decode_logits (see batch_vec_matmul).
-  std::vector<std::vector<float>> decode_logits_batch(
-      std::span<const std::vector<int>> ids_list,
-      std::span<KvCache* const> caches) const;
+  // logits() through `kv`, with the per-forward metrics.
+  std::vector<float> logits_one(std::span<const int> context,
+                                KvCache& kv) const;
+  // logits_batch() through the `isa` copy of the forward.
+  Logits logits_batch(std::span<const std::vector<int>> contexts,
+                      std::span<KvCache* const> caches, detail::Isa isa) const;
+
+  // The arithmetic of forward_rows over the rows listed in `ws`, compiled
+  // once per instruction set.
+  template <class V>
+  [[gnu::always_inline]] inline void sweep(
+      Workspace& ws, std::span<const std::vector<int>> ids,
+      std::span<KvCache* const> caches, Logits& out) const {
+    const int d = cfg.d_model, nh = cfg.n_heads, dh = d / nh, f = cfg.d_ff;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    const int n = static_cast<int>(ws.pos.size());
+    float *x = ws.x.data(), *norm = ws.a.data(), *ctx = ws.a.data(),
+          *qkv = ws.big.data(), *ff = ws.big.data(), *tmp = ws.tmp.data();
+    for (int r = 0; r < n; ++r) {
+      const float* e = tok_emb.w.row(ids[ws.session[r]][ws.pos[r]]);
+      const float* p = pos_emb.w.row(ws.pos[r]);
+      for (int i = 0; i < d; ++i) x[r * d + i] = e[i] + p[i];
+    }
+    for (std::size_t li = 0; li < layers.size(); ++li) {
+      const LayerParams& lp = layers[li];
+      for (int r = 0; r < n; ++r)
+        ln_vec(x + r * d, lp.ln1_g, lp.ln1_b, d, norm + r * d);
+      tiled_matmul<V>(norm, n, d, lp.w_qkv.w.data.data(),
+                      lp.b_qkv.w.data.data(), 3 * d, qkv);
+      // Append each row's K/V, then attend: a row reads only its own
+      // session's rows at or before it, all appended by then.
+      for (int r = 0; r < n; ++r) {
+        KvCache& kv = *caches[ws.session[r]];
+        const float* qr = qkv + r * 3 * d;
+        std::copy(qr + d, qr + 2 * d, kv.k[li].row(ws.pos[r]));
+        std::copy(qr + 2 * d, qr + 3 * d, kv.v[li].row(ws.pos[r]));
+        attend(qr, kv.k[li], kv.v[li], ws.pos[r], nh, dh, scale,
+               ws.att.data(), ctx + r * d);
+      }
+      tiled_matmul<V>(ctx, n, d, lp.w_o.w.data.data(), lp.b_o.w.data.data(),
+                      d, tmp);
+      for (int i = 0; i < n * d; ++i) x[i] += tmp[i];
+      for (int r = 0; r < n; ++r)
+        ln_vec(x + r * d, lp.ln2_g, lp.ln2_b, d, norm + r * d);
+      tiled_matmul<V>(norm, n, d, lp.w_fc1.w.data.data(),
+                      lp.b_fc1.w.data.data(), f, ff);
+      for (int i = 0; i < n * f; ++i) ff[i] = gelu(ff[i]);
+      tiled_matmul<V>(ff, n, f, lp.w_fc2.w.data.data(),
+                      lp.b_fc2.w.data.data(), d, tmp);
+      for (int i = 0; i < n * d; ++i) x[i] += tmp[i];
+    }
+    for (int r = 0; r < n; ++r) {  // the head, on each session's last row
+      if (r + 1 < n && ws.session[r + 1] == ws.session[r]) continue;
+      ln_vec(x + r * d, lnf_g, lnf_b, d, norm);
+      tiled_matmul<V>(norm, 1, d, w_out.w.data.data(), b_out.w.data.data(),
+                      cfg.vocab_size, out[ws.session[r]].data());
+    }
+  }
+
+  void sweep_generic(Workspace& ws, std::span<const std::vector<int>> ids,
+                     std::span<KvCache* const> caches, Logits& out) const {
+    sweep<F32x4>(ws, ids, caches, out);
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  __attribute__((target("avx2"))) void sweep_avx2(
+      Workspace& ws, std::span<const std::vector<int>> ids,
+      std::span<KvCache* const> caches, Logits& out) const {
+    sweep<F32x8>(ws, ids, caches, out);
+  }
+#endif
 
   std::vector<Param*> all_params() {
     std::vector<Param*> ps{&tok_emb, &pos_emb, &lnf_g, &lnf_b, &w_out, &b_out};
@@ -493,61 +678,6 @@ struct Transformer::Impl {
 
 namespace {
 
-// LayerNorm of one d-vector.
-void ln_vec(const float* x, const Param& gamma, const Param& beta, int d,
-            float* out) {
-  float mean = 0.0f;
-  for (int i = 0; i < d; ++i) mean += x[i];
-  mean /= static_cast<float>(d);
-  float var = 0.0f;
-  for (int i = 0; i < d; ++i) {
-    const float c = x[i] - mean;
-    var += c * c;
-  }
-  const float rstd = 1.0f / std::sqrt(var / static_cast<float>(d) + 1e-5f);
-  for (int i = 0; i < d; ++i)
-    out[i] = (x[i] - mean) * rstd * gamma.w.data[static_cast<std::size_t>(i)] +
-             beta.w.data[static_cast<std::size_t>(i)];
-}
-
-// out = vec(1×m) · W(m×n) + b
-void vec_matmul(const float* vec, const Mat& w, const Param& b, int m, int n,
-                float* out) {
-  for (int j = 0; j < n; ++j) out[j] = b.w.data[static_cast<std::size_t>(j)];
-  for (int i = 0; i < m; ++i) {
-    const float vi = vec[i];
-    if (vi == 0.0f) continue;
-    const float* wr = w.row(i);
-    for (int j = 0; j < n; ++j) out[j] += vi * wr[j];
-  }
-}
-
-// Batched vec_matmul: out[s] = in[s](1×m) · W(m×n) + b for every session s,
-// with ONE sweep over W serving all sessions (the batched-forward win: the
-// weight row loaded for position i is reused across the whole batch instead
-// of being re-streamed per row). For each session the per-element float
-// operations — bias first, ascending-i accumulation, the vi == 0 skip —
-// happen in exactly the order vec_matmul uses, so each out[s] is
-// bit-identical to vec_matmul(in[s], ...). That identity is what lets the
-// serve runtime promise batched == sequential decoding.
-void batch_vec_matmul(std::span<const float* const> in, const Mat& w,
-                      const Param& b, int m, int n,
-                      std::span<float* const> out) {
-  const std::size_t ns = in.size();
-  for (std::size_t s = 0; s < ns; ++s)
-    for (int j = 0; j < n; ++j)
-      out[s][j] = b.w.data[static_cast<std::size_t>(j)];
-  for (int i = 0; i < m; ++i) {
-    const float* wr = w.row(i);
-    for (std::size_t s = 0; s < ns; ++s) {
-      const float vi = in[s][i];
-      if (vi == 0.0f) continue;
-      float* os = out[s];
-      for (int j = 0; j < n; ++j) os[j] += vi * wr[j];
-    }
-  }
-}
-
 // Longest common prefix between the cache and `ids`, with the last token
 // always reprocessed so the query position's residual stream is available.
 // Rebinds the cache to `ids` and returns the number of reused positions.
@@ -565,15 +695,20 @@ std::size_t kv_common_prefix(KvCache& kv, const std::vector<int>& ids) {
 // `recomputed` positions paid in full. Below the context window the ratio is
 // ~ctx:1 per step; once the sliding window engages, reuse collapses to the
 // START token alone and every step reprocesses the remaining max_seq-1
-// window positions (see Transformer::logits docs).
+// window positions (see Transformer::logits docs). lm.transformer.positions
+// histograms `recomputed` per forward: the prefill shape.
 void record_kv_counters(std::int64_t reused, std::int64_t recomputed) {
   if (!obs::metrics_enabled()) return;
   auto& registry = obs::MetricsRegistry::instance();
   static obs::Counter& c_reused = registry.counter("lm.kv.reused_tokens");
   static obs::Counter& c_recomputed =
       registry.counter("lm.kv.recomputed_tokens");
+  static obs::Histogram& h_positions = registry.histogram(
+      "lm.transformer.positions",
+      obs::HistogramOptions{{1, 2, 4, 8, 16, 32, 64, 128, 256}});
   c_reused.add(reused);
   c_recomputed.add(recomputed);
+  h_positions.observe(static_cast<double>(recomputed));
 }
 
 // Nonzero per-thread fingerprint for the logits() reentrancy guard.
@@ -624,260 +759,78 @@ void Transformer::Impl::ensure_cache_shape(KvCache& kv) const {
                 "KvCache was sized for a different model");
 }
 
-std::vector<float> Transformer::Impl::decode_logits(const std::vector<int>& ids,
-                                                    KvCache& kv) const {
-  const int d = cfg.d_model;
-  const int nh = cfg.n_heads;
-  const int dh = d / nh;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  ensure_cache_shape(kv);
-
-  // Longest common prefix with the cached context; always reprocess the last
-  // token so the residual stream for the query position is available.
-  const std::size_t common = kv_common_prefix(kv, ids);
-  record_kv_counters(static_cast<std::int64_t>(common),
-                     static_cast<std::int64_t>(ids.size() - common));
-
-  std::vector<float> x(static_cast<std::size_t>(d));
-  std::vector<float> norm(static_cast<std::size_t>(d));
-  std::vector<float> qkv(static_cast<std::size_t>(3 * d));
-  std::vector<float> ctx(static_cast<std::size_t>(d));
-  std::vector<float> attn_out(static_cast<std::size_t>(d));
-  std::vector<float> ff(static_cast<std::size_t>(cfg.d_ff));
-  std::vector<float> ff_out(static_cast<std::size_t>(d));
-  std::vector<float> att;
-
-  for (std::size_t pos = common; pos < ids.size(); ++pos) {
-    const int t = static_cast<int>(pos);
-    const float* e = tok_emb.w.row(ids[pos]);
-    const float* p = pos_emb.w.row(t);
-    for (int i = 0; i < d; ++i) x[static_cast<std::size_t>(i)] = e[i] + p[i];
-
-    for (int li = 0; li < cfg.n_layers; ++li) {
-      const LayerParams& lp = layers[static_cast<std::size_t>(li)];
-      Mat& kc = kv.k[static_cast<std::size_t>(li)];
-      Mat& vc = kv.v[static_cast<std::size_t>(li)];
-
-      ln_vec(x.data(), lp.ln1_g, lp.ln1_b, d, norm.data());
-      vec_matmul(norm.data(), lp.w_qkv.w, lp.b_qkv, d, 3 * d, qkv.data());
-      // Append this position's K and V to the cache.
-      std::copy(qkv.begin() + d, qkv.begin() + 2 * d, kc.row(t));
-      std::copy(qkv.begin() + 2 * d, qkv.begin() + 3 * d, vc.row(t));
-
-      std::fill(ctx.begin(), ctx.end(), 0.0f);
-      att.assign(pos + 1, 0.0f);
-      for (int h = 0; h < nh; ++h) {
-        const int off = h * dh;
-        const float* q = qkv.data() + off;
-        float maxv = -1e30f;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          const float* ku = kc.row(static_cast<int>(u)) + off;
-          float acc = 0.0f;
-          for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
-          att[u] = acc * scale;
-          maxv = std::max(maxv, att[u]);
-        }
-        float total = 0.0f;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          att[u] = std::exp(att[u] - maxv);
-          total += att[u];
-        }
-        const float inv = 1.0f / total;
-        float* ch = ctx.data() + off;
-        for (std::size_t u = 0; u <= pos; ++u) {
-          const float a = att[u] * inv;
-          const float* vu = vc.row(static_cast<int>(u)) + off;
-          for (int i = 0; i < dh; ++i) ch[i] += a * vu[i];
-        }
-      }
-      vec_matmul(ctx.data(), lp.w_o.w, lp.b_o, d, d, attn_out.data());
-      for (int i = 0; i < d; ++i)
-        x[static_cast<std::size_t>(i)] += attn_out[static_cast<std::size_t>(i)];
-
-      ln_vec(x.data(), lp.ln2_g, lp.ln2_b, d, norm.data());
-      vec_matmul(norm.data(), lp.w_fc1.w, lp.b_fc1, d, cfg.d_ff, ff.data());
-      for (float& v : ff) v = gelu(v);
-      vec_matmul(ff.data(), lp.w_fc2.w, lp.b_fc2, cfg.d_ff, d, ff_out.data());
-      for (int i = 0; i < d; ++i)
-        x[static_cast<std::size_t>(i)] += ff_out[static_cast<std::size_t>(i)];
-    }
-  }
-
-  ln_vec(x.data(), lnf_g, lnf_b, d, norm.data());
-  std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
-  vec_matmul(norm.data(), w_out.w, b_out, d, cfg.vocab_size, logits.data());
-  return logits;
-}
-
-// Cross-session batched decode. Sessions advance position-by-position in
-// lockstep: at every step, the per-position weight matmuls of all sessions
-// that still have unprocessed positions are fused into batch_vec_matmul
-// calls, while the scalar stages (LayerNorm, attention over the session's
-// own KV cache, GELU, residuals) run per session with the exact code shape
-// of decode_logits. Sessions with shorter suffixes simply drop out of the
-// active set early; the final LN + output projection is batched over all
-// sessions at the end. Per-session arithmetic order is identical to the
-// sequential path throughout, so each returned row is bit-identical to what
-// decode_logits would produce for that (ids, cache) pair.
-std::vector<std::vector<float>> Transformer::Impl::decode_logits_batch(
-    std::span<const std::vector<int>> ids_list,
-    std::span<KvCache* const> caches) const {
-  const std::size_t ns = ids_list.size();
-  const int d = cfg.d_model;
-  const int nh = cfg.n_heads;
-  const int dh = d / nh;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  std::vector<std::size_t> pos(ns), end(ns);
+Transformer::Impl::Logits Transformer::Impl::forward_rows(
+    std::span<const std::vector<int>> ids, std::span<KvCache* const> caches,
+    detail::Isa isa) const {
+  thread_local Workspace ws;
+  ws.session.clear();
+  ws.pos.clear();
   std::int64_t reused = 0;
-  std::int64_t recomputed = 0;
-  for (std::size_t s = 0; s < ns; ++s) {
+  for (std::size_t s = 0; s < ids.size(); ++s) {
     ensure_cache_shape(*caches[s]);
-    pos[s] = kv_common_prefix(*caches[s], ids_list[s]);
-    end[s] = ids_list[s].size();
-    reused += static_cast<std::int64_t>(pos[s]);
-    recomputed += static_cast<std::int64_t>(end[s] - pos[s]);
-  }
-  record_kv_counters(reused, recomputed);
-
-  // Per-session workspaces, one row each. Sized once for the whole batch.
-  Mat x(static_cast<int>(ns), d);
-  Mat norm(static_cast<int>(ns), d);
-  Mat qkv(static_cast<int>(ns), 3 * d);
-  Mat ctx(static_cast<int>(ns), d);
-  Mat attn_out(static_cast<int>(ns), d);
-  Mat ff(static_cast<int>(ns), cfg.d_ff);
-  Mat ff_out(static_cast<int>(ns), d);
-  Mat final_x(static_cast<int>(ns), d);
-  std::vector<float> att;
-
-  std::vector<std::size_t> active;
-  std::vector<const float*> in_ptrs;
-  std::vector<float*> out_ptrs;
-  const auto batched = [&](const Mat& in_rows, const Mat& w, const Param& b,
-                           int m, int n, Mat& out_rows) {
-    in_ptrs.clear();
-    out_ptrs.clear();
-    for (const std::size_t s : active) {
-      in_ptrs.push_back(in_rows.row(static_cast<int>(s)));
-      out_ptrs.push_back(out_rows.row(static_cast<int>(s)));
-    }
-    batch_vec_matmul(in_ptrs, w, b, m, n, out_ptrs);
-  };
-
-  while (true) {
-    active.clear();
-    for (std::size_t s = 0; s < ns; ++s)
-      if (pos[s] < end[s]) active.push_back(s);
-    if (active.empty()) break;
-
-    for (const std::size_t s : active) {
-      const int t = static_cast<int>(pos[s]);
-      const float* e = tok_emb.w.row(ids_list[s][pos[s]]);
-      const float* p = pos_emb.w.row(t);
-      float* xs = x.row(static_cast<int>(s));
-      for (int i = 0; i < d; ++i) xs[i] = e[i] + p[i];
-    }
-
-    for (int li = 0; li < cfg.n_layers; ++li) {
-      const LayerParams& lp = layers[static_cast<std::size_t>(li)];
-
-      for (const std::size_t s : active)
-        ln_vec(x.row(static_cast<int>(s)), lp.ln1_g, lp.ln1_b, d,
-               norm.row(static_cast<int>(s)));
-      batched(norm, lp.w_qkv.w, lp.b_qkv, d, 3 * d, qkv);
-
-      for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
-        const int t = static_cast<int>(pos[s]);
-        Mat& kc = caches[s]->k[static_cast<std::size_t>(li)];
-        Mat& vc = caches[s]->v[static_cast<std::size_t>(li)];
-        const float* sq = qkv.row(si);
-        std::copy(sq + d, sq + 2 * d, kc.row(t));
-        std::copy(sq + 2 * d, sq + 3 * d, vc.row(t));
-
-        float* cs = ctx.row(si);
-        std::fill(cs, cs + d, 0.0f);
-        att.assign(pos[s] + 1, 0.0f);
-        for (int h = 0; h < nh; ++h) {
-          const int off = h * dh;
-          const float* q = sq + off;
-          float maxv = -1e30f;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            const float* ku = kc.row(static_cast<int>(u)) + off;
-            float acc = 0.0f;
-            for (int i = 0; i < dh; ++i) acc += q[i] * ku[i];
-            att[u] = acc * scale;
-            maxv = std::max(maxv, att[u]);
-          }
-          float total = 0.0f;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            att[u] = std::exp(att[u] - maxv);
-            total += att[u];
-          }
-          const float inv = 1.0f / total;
-          float* ch = cs + off;
-          for (std::size_t u = 0; u <= pos[s]; ++u) {
-            const float a = att[u] * inv;
-            const float* vu = vc.row(static_cast<int>(u)) + off;
-            for (int i = 0; i < dh; ++i) ch[i] += a * vu[i];
-          }
-        }
-      }
-      batched(ctx, lp.w_o.w, lp.b_o, d, d, attn_out);
-      for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
-        float* xs = x.row(si);
-        const float* ao = attn_out.row(si);
-        for (int i = 0; i < d; ++i) xs[i] += ao[i];
-      }
-
-      for (const std::size_t s : active)
-        ln_vec(x.row(static_cast<int>(s)), lp.ln2_g, lp.ln2_b, d,
-               norm.row(static_cast<int>(s)));
-      batched(norm, lp.w_fc1.w, lp.b_fc1, d, cfg.d_ff, ff);
-      for (const std::size_t s : active) {
-        float* fs = ff.row(static_cast<int>(s));
-        for (int i = 0; i < cfg.d_ff; ++i) fs[i] = gelu(fs[i]);
-      }
-      batched(ff, lp.w_fc2.w, lp.b_fc2, cfg.d_ff, d, ff_out);
-      for (const std::size_t s : active) {
-        const int si = static_cast<int>(s);
-        float* xs = x.row(si);
-        const float* fo = ff_out.row(si);
-        for (int i = 0; i < d; ++i) xs[i] += fo[i];
-      }
-    }
-
-    for (const std::size_t s : active) {
-      ++pos[s];
-      if (pos[s] == end[s]) {
-        const int si = static_cast<int>(s);
-        std::copy(x.row(si), x.row(si) + d, final_x.row(si));
-      }
+    const std::size_t common = kv_common_prefix(*caches[s], ids[s]);
+    reused += static_cast<std::int64_t>(common);
+    for (std::size_t t = common; t < ids[s].size(); ++t) {
+      ws.session.push_back(static_cast<int>(s));
+      ws.pos.push_back(static_cast<int>(t));
     }
   }
-
-  // Final LN per session, then one batched output projection over everyone
-  // (w_out is the widest matrix in the model — the biggest single win).
-  active.clear();
-  for (std::size_t s = 0; s < ns; ++s) active.push_back(s);
-  for (const std::size_t s : active)
-    ln_vec(final_x.row(static_cast<int>(s)), lnf_g, lnf_b, d,
-           norm.row(static_cast<int>(s)));
-
-  std::vector<std::vector<float>> out(
-      ns, std::vector<float>(static_cast<std::size_t>(cfg.vocab_size)));
-  in_ptrs.clear();
-  out_ptrs.clear();
-  for (std::size_t s = 0; s < ns; ++s) {
-    in_ptrs.push_back(norm.row(static_cast<int>(s)));
-    out_ptrs.push_back(out[s].data());
-  }
-  batch_vec_matmul(in_ptrs, w_out.w, b_out, d, cfg.vocab_size, out_ptrs);
+  const std::size_t rows = ws.pos.size();
+  record_kv_counters(reused, static_cast<std::int64_t>(rows));
+  const auto d = static_cast<std::size_t>(cfg.d_model);
+  for (std::vector<float>* v : {&ws.x, &ws.a, &ws.tmp}) v->resize(rows * d);
+  ws.big.resize(rows * std::max(3 * d, static_cast<std::size_t>(cfg.d_ff)));
+  ws.att.resize(static_cast<std::size_t>(cfg.max_seq));
+  Logits out(ids.size(),
+             std::vector<float>(static_cast<std::size_t>(cfg.vocab_size)));
+#if defined(__x86_64__) || defined(__i386__)
+  if (isa == detail::Isa::kAvx2)
+    sweep_avx2(ws, ids, caches, out);
+  else
+#endif
+    sweep_generic(ws, ids, caches, out);
   return out;
 }
+
+namespace detail {
+
+bool isa_supported(Isa isa) {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  return isa == Isa::kGeneric || avx2;
+#else
+  return isa == Isa::kGeneric;
+#endif
+}
+
+namespace {
+
+// The widest path this CPU runs (isa_supported asks the CPU once).
+Isa host_isa() {
+  return isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kGeneric;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void matmul_avx2(const float* x, int rows,
+                                                 int m, const float* w,
+                                                 const float* b, int n,
+                                                 float* out) {
+  tiled_matmul<F32x8>(x, rows, m, w, b, n, out);
+}
+#endif
+
+}  // namespace
+
+void matmul_rows(Isa isa, const float* x, int rows, int m, const float* w,
+                 const float* b, int n, float* out) {
+  LEJIT_REQUIRE(isa_supported(isa), "instruction set not supported here");
+#if defined(__x86_64__) || defined(__i386__)
+  if (isa == Isa::kAvx2) return matmul_avx2(x, rows, m, w, b, n, out);
+#endif
+  tiled_matmul<F32x4>(x, rows, m, w, b, n, out);
+}
+
+}  // namespace detail
 
 Transformer::Transformer(TransformerConfig config, util::Rng& rng)
     : config_(config), impl_(std::make_unique<Impl>()) {
@@ -930,31 +883,33 @@ void record_forward(std::int64_t t0) {
 
 }  // namespace
 
+std::vector<float> Transformer::Impl::logits_one(std::span<const int> context,
+                                                 KvCache& kv) const {
+  const bool obs_on = obs::metrics_enabled();
+  const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
+  const std::vector<int> ids = window_context(cfg, context);
+  KvCache* const caches[] = {&kv};
+  std::vector<float> out =
+      std::move(forward_rows({&ids, 1}, caches, detail::host_isa())[0]);
+  if (obs_on) record_forward(t0);
+  return out;
+}
+
 std::vector<float> Transformer::logits(std::span<const int> context) const {
   fault::inject(fault::Site::kLmForward);
   const ReentrancyGuard guard(impl_->logits_owner);
-  const bool obs_on = obs::metrics_enabled();
-  const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
-  std::vector<float> out =
-      impl_->decode_logits(window_context(config_, context), impl_->cache);
-  if (obs_on) record_forward(t0);
-  return out;
+  return impl_->logits_one(context, impl_->cache);
 }
 
 std::vector<float> Transformer::logits(std::span<const int> context,
                                        KvCache& cache) const {
   fault::inject(fault::Site::kLmForward);
-  const bool obs_on = obs::metrics_enabled();
-  const std::int64_t t0 = obs_on ? obs::now_ns() : 0;
-  std::vector<float> out =
-      impl_->decode_logits(window_context(config_, context), cache);
-  if (obs_on) record_forward(t0);
-  return out;
+  return impl_->logits_one(context, cache);
 }
 
-std::vector<std::vector<float>> Transformer::logits_batch(
+Transformer::Impl::Logits Transformer::Impl::logits_batch(
     std::span<const std::vector<int>> contexts,
-    std::span<KvCache* const> caches) const {
+    std::span<KvCache* const> caches, detail::Isa isa) const {
   LEJIT_REQUIRE(contexts.size() == caches.size(),
                 "logits_batch: contexts/caches size mismatch");
   LEJIT_REQUIRE(!contexts.empty(), "logits_batch: empty batch");
@@ -970,9 +925,8 @@ std::vector<std::vector<float>> Transformer::logits_batch(
   std::vector<std::vector<int>> ids_list;
   ids_list.reserve(contexts.size());
   for (const auto& context : contexts)
-    ids_list.push_back(window_context(config_, context));
-  std::vector<std::vector<float>> out =
-      impl_->decode_logits_batch(ids_list, caches);
+    ids_list.push_back(window_context(cfg, context));
+  Logits out = forward_rows(ids_list, caches, isa);
   if (obs_on) {
     auto& registry = obs::MetricsRegistry::instance();
     static obs::Counter& c_batches =
@@ -986,6 +940,19 @@ std::vector<std::vector<float>> Transformer::logits_batch(
     h_latency.observe(static_cast<double>(obs::now_ns() - t0) * 1e-3);
   }
   return out;
+}
+
+std::vector<std::vector<float>> Transformer::logits_batch(
+    std::span<const std::vector<int>> contexts,
+    std::span<KvCache* const> caches) const {
+  return impl_->logits_batch(contexts, caches, detail::host_isa());
+}
+
+std::vector<std::vector<float>> detail::ForwardAccess::logits(
+    const Transformer& model, std::span<const std::vector<int>> contexts,
+    std::span<KvCache* const> caches, Isa isa) {
+  LEJIT_REQUIRE(isa_supported(isa), "instruction set not supported here");
+  return model.impl_->logits_batch(contexts, caches, isa);
 }
 
 namespace {

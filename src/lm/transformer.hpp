@@ -18,6 +18,10 @@
 
 namespace lejit::lm {
 
+namespace detail {
+struct ForwardAccess;
+}  // namespace detail
+
 struct TransformerConfig {
   int vocab_size = 0;
   int d_model = 64;
@@ -97,13 +101,13 @@ class Transformer final : public LanguageModel {
   // reentrancy guard does not apply. Bit-identical to logits(context).
   std::vector<float> logits(std::span<const int> context, KvCache& cache) const;
 
-  // Cross-session batched forward (the serve runtime's hot path): decode the
-  // next-token logits for N independent contexts in one pass, stacking the
-  // per-position weight matmuls so one sweep over each weight matrix serves
-  // every session. `caches[i]` must be distinct per-session caches. The
-  // result for each session is bit-identical to logits(contexts[i]) — the
-  // batched kernel preserves the exact per-element float summation order of
-  // the sequential path — so batching is schedule-invisible by construction.
+  // Cross-session batched forward (the serve runtime's hot path): one
+  // forward over every uncached position of N independent contexts, so one
+  // sweep over each weight matrix serves them all. `caches[i]` must be
+  // distinct per-session caches. Each logit's float operations depend on
+  // neither the batch nor the prefill length (DESIGN.md §13.3), so each
+  // result is bit-identical to logits(contexts[i]) — batching is
+  // schedule-invisible by construction.
   std::vector<std::vector<float>> logits_batch(
       std::span<const std::vector<int>> contexts,
       std::span<KvCache* const> caches) const;
@@ -136,6 +140,7 @@ class Transformer final : public LanguageModel {
       std::span<const std::vector<int>> rows);
 
  private:
+  friend struct detail::ForwardAccess;
   struct Impl;
   TransformerConfig config_;
   std::unique_ptr<Impl> impl_;

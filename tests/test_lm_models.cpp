@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 
+#include "lm/forward.hpp"
 #include "lm/ngram.hpp"
 #include "lm/trainer.hpp"
 #include "lm/transformer.hpp"
@@ -449,6 +452,172 @@ TEST(TransformerSession, ConcurrentViewsMatchSharedModel) {
     EXPECT_EQ(s1.logits(c1), m.logits(c1, f1)) << "step " << step;
     EXPECT_EQ(s2.logits(c2), m.logits(c2, f2)) << "step " << step;
   }
+}
+
+// --- inference forward: golden bits and kernels ------------------------------
+
+// A perfbench-shaped model (DESIGN.md §13.3): the telemetry row vocabulary,
+// d_model 64, 2 layers, 4 heads, d_ff 128, max_seq 64. Seeded random init,
+// then every parameter perturbed so biases and LayerNorm gains are not the
+// trivial 0 and 1.
+Transformer golden_model() {
+  util::Rng rng(41);
+  Transformer m(TransformerConfig{.vocab_size = 19, .d_model = 64,
+                                  .n_layers = 2, .n_heads = 4, .d_ff = 128,
+                                  .max_seq = 64},
+                rng);
+  std::vector<float> flat = m.parameters_flat();
+  util::Rng noise(42);
+  for (float& v : flat) v += static_cast<float>(noise.normal(0.0, 0.1));
+  m.set_parameters_flat(flat);
+  return m;
+}
+
+// Cold-cache logits of golden_model() after contexts of 0, 1, 7, 24, 63 and
+// 80 tokens (the last two at and past the max_seq-1 window), as float bit
+// patterns. Captured from the per-position forward this one replaced, so
+// they pin that the row-blocked forward kept every output bit.
+struct GoldenLogits {
+  int tokens;
+  std::vector<std::uint32_t> bits;
+};
+const std::vector<GoldenLogits>& golden_logits() {
+  static const std::vector<GoldenLogits> g{
+      {0,
+       {0xbf689223, 0xbf35bda2, 0x3ff48660, 0xbf48b2fb, 0xbd934f74,
+        0x3dc3f846, 0x3fb84068, 0x3f93eda1, 0xbda18083, 0x3fda88ab,
+        0x3ddfc700, 0x3f85e891, 0xbebabc28, 0xbf966a67, 0xbeeed55b,
+        0xbeaf1071, 0x3f0e81fc, 0x3dabb42c, 0xbf6109cd}},
+      {1,
+       {0xbee1c286, 0xbe9105e2, 0x3fe7edaf, 0x3ef34ac8, 0xbf263a05,
+        0xbf049ea6, 0x3f4f7934, 0x3eed9a0c, 0xbe0ee6a6, 0x3f5f4424,
+        0xbe0ebe80, 0x3dce43cc, 0xbf62d1b0, 0xbf48f2fa, 0x3ef6c847,
+        0xbf293491, 0xbedf27f2, 0x3e3987d3, 0xbfa14762}},
+      {7,
+       {0xbeae61b9, 0x37e1d000, 0x3f5b0eeb, 0x3fd64e18, 0xbd88a986,
+        0x3f319147, 0xbe364f24, 0x3f2be793, 0xbf9f340f, 0x3c86eada,
+        0x3dcc10d4, 0x3f26acdf, 0xbfa04452, 0xbf8a9bf8, 0x3ec6e7c6,
+        0xbe006605, 0xbeb12266, 0x3d6965db, 0x3b037600}},
+      {24,
+       {0xbf951cc8, 0x3dca8f8f, 0x3f87413e, 0x3e5b901e, 0x3ea36335,
+        0x3f1a13ee, 0x3fcdb05c, 0x400e4470, 0xbe943ed2, 0x3f76d629,
+        0x3f91c1dd, 0x3f24a72e, 0xbf20b1e7, 0xbff81713, 0xbf3e5e17,
+        0xbf0abc3e, 0x3f1c3633, 0x3b8e0a40, 0xbea78c8b}},
+      {63,
+       {0xbf80b88b, 0x3f9a44fa, 0x3fae4a9d, 0x3dde9538, 0x3eaf05b0,
+        0x3e2789d4, 0x3fb2127e, 0x3f0f5182, 0xbee78491, 0x3de632f8,
+        0x3ec62343, 0xbf19c998, 0xbf6e0630, 0xbf723b04, 0xbdaee511,
+        0xbfc7a908, 0x3fbdcc03, 0xbf1d991d, 0x3c9948d8}},
+      {80,
+       {0xbf787007, 0x3f5b514c, 0x3fdb8082, 0x3f423899, 0x3e619a9a,
+        0x3f0d4a01, 0x3fc1ead0, 0x3f315f04, 0xbfc9469d, 0x3edf1cb2,
+        0x3f268d77, 0x3efb2373, 0xbfa1996c, 0xbfce7bb5, 0xbea3c89a,
+        0xbfa76d2e, 0x3efd3b7a, 0xbe254c1e, 0x3e8612b6}},
+  };
+  return g;
+}
+
+void expect_golden_logits(detail::Isa isa) {
+  const Transformer m = golden_model();
+  util::Rng toks(43);
+  for (const GoldenLogits& g : golden_logits()) {
+    std::vector<int> ctx;
+    for (int i = 0; i < g.tokens; ++i)
+      ctx.push_back(static_cast<int>(toks.uniform_int(0, 18)));
+    KvCache cache;
+    KvCache* const caches[] = {&cache};
+    const std::vector<std::vector<int>> contexts{ctx};
+    const auto out = detail::ForwardAccess::logits(m, contexts, caches, isa);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].size(), g.bits.size());
+    for (std::size_t i = 0; i < g.bits.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[0][i]), g.bits[i])
+          << g.tokens << " tokens, logit " << i;
+    EXPECT_EQ(out[0], m.logits(ctx)) << g.tokens << " tokens";
+  }
+}
+
+TEST(TransformerForward, GenericPathKeepsGoldenLogits) {
+  expect_golden_logits(detail::Isa::kGeneric);
+}
+
+TEST(TransformerForward, Avx2PathKeepsGoldenLogits) {
+  if (!detail::isa_supported(detail::Isa::kAvx2))
+    GTEST_SKIP() << "this CPU has no AVX2";
+  expect_golden_logits(detail::Isa::kAvx2);
+}
+
+// Both matmul kernels against the scalar per-element contract: bias first,
+// ascending i, exact-zero inputs skipped, multiply then add. Covers every
+// row count up to two 4-row tiles plus a ragged one, widths that are not a
+// multiple of either vector width, +0/-0 inputs, and -0 biases whose rows
+// see only zero inputs (adding a 0·w product would turn them into +0).
+TEST(TransformerForward, MatmulKernelsMatchScalarContract) {
+  util::Rng rng(44);
+  const auto value = [&rng] {
+    switch (rng.uniform_int(0, 5)) {
+      case 0: return 0.0f;
+      case 1: return -0.0f;
+      default: return static_cast<float>(rng.normal(0.0, 1.0));
+    }
+  };
+  for (const detail::Isa isa : {detail::Isa::kGeneric, detail::Isa::kAvx2}) {
+    if (!detail::isa_supported(isa)) continue;
+    for (const auto& [m, n] : {std::pair{1, 1}, {3, 5}, {7, 9}, {13, 17},
+                              {64, 19}, {64, 192}, {16, 33}}) {
+      for (int rows = 1; rows <= 9; ++rows) {
+        std::vector<float> x(static_cast<std::size_t>(rows * m));
+        std::vector<float> w(static_cast<std::size_t>(m * n));
+        std::vector<float> b(static_cast<std::size_t>(n));
+        for (float& v : x) v = value();
+        for (float& v : w) v = value();
+        for (float& v : b) v = value();
+        // The last row sees only zeros: its outputs must be its biases,
+        // sign of zero included.
+        std::fill(x.end() - m, x.end(), 0.0f);
+        std::vector<float> out(static_cast<std::size_t>(rows * n), 1.0f);
+        detail::matmul_rows(isa, x.data(), rows, m, w.data(), b.data(), n,
+                            out.data());
+        for (int r = 0; r < rows; ++r) {
+          for (int j = 0; j < n; ++j) {
+            float acc = b[static_cast<std::size_t>(j)];
+            for (int i = 0; i < m; ++i) {
+              const float xi = x[static_cast<std::size_t>(r * m + i)];
+              if (xi == 0.0f) continue;
+              acc += xi * w[static_cast<std::size_t>(i * n + j)];
+            }
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                          out[static_cast<std::size_t>(r * n + j)]),
+                      std::bit_cast<std::uint32_t>(acc))
+                << "isa " << static_cast<int>(isa) << " m " << m << " n " << n
+                << " rows " << rows << " at " << r << "," << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// lm.transformer.positions records the positions each forward computes:
+// the whole START-prefixed context cold, one per step warm, and the sum
+// over sessions for a batch.
+TEST(TransformerForward, PositionsHistogramRecordsRowsPerForward) {
+  util::Rng rng(45);
+  const Transformer m(tiny_config(6), rng);
+  obs::set_metrics_enabled(true);
+  auto& h = obs::MetricsRegistry::instance().histogram(
+      "lm.transformer.positions");
+  const std::int64_t count0 = h.count();
+  const double sum0 = h.sum();
+  KvCache a, b;
+  (void)m.logits(std::vector<int>{1, 2, 3}, a);     // cold: 4 positions
+  (void)m.logits(std::vector<int>{1, 2, 3, 4}, a);  // warm: 1 position
+  KvCache* const caches[] = {&a, &b};
+  const std::vector<std::vector<int>> contexts{{1, 2, 3, 4, 5}, {0}};
+  (void)m.logits_batch(contexts, caches);  // 1 + 2 positions
+  EXPECT_EQ(h.count() - count0, 3);
+  EXPECT_EQ(h.sum() - sum0, 8.0);
+  obs::set_metrics_enabled(false);
 }
 
 TEST(Trainer, LogsWhenRequested) {

@@ -5,7 +5,8 @@
 # than 10% slower than uncached), decode plan (on/off decodes bit-identical;
 # table hits and sliced queries observed; fewer solver propagations), and
 # solver backend (subprocess/degraded decodes bit-identical to in-process;
-# the degradation ladder engaged).
+# the degradation ladder engaged). Last, a short run of bench_lm_forward
+# (found next to BENCH_BINARY): it must complete, its timings are not gated.
 #
 # Usage: run_bench_smoke.sh BENCH_BINARY CHECKER_PY OUT_JSON [PYTHON3]
 set -u
@@ -32,4 +33,5 @@ run validate "$PY" "$CHECKER" "$OUT"
 run compare-cache "$PY" "$CHECKER" --compare-cache "$OUT"
 run compare-plan "$PY" "$CHECKER" --compare-plan "$OUT"
 run compare-backend "$PY" "$CHECKER" --compare-backend "$OUT"
+run lm-forward "$(dirname "$BENCH")/bench_lm_forward" --benchmark_min_time=0.01
 echo "[bench_smoke] all stages passed" >&2
