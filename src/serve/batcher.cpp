@@ -1,5 +1,8 @@
 #include "serve/batcher.hpp"
 
+#include <optional>
+#include <string>
+
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
@@ -63,15 +66,16 @@ void Batcher::fire(util::MutexLock& lock) {
   // which dominates serve wall time.
   lock.unlock();
   std::vector<std::vector<float>> outs;
-  std::exception_ptr error;
+  std::optional<std::string> error;
   try {
     outs = model_.logits_batch(contexts, caches);
+  } catch (const std::exception& e) {
+    // The round must still complete: every member rethrows from forward()
+    // and degrades its own row, instead of followers waiting forever on
+    // stack-allocated Pendings the leader's unwind would destroy.
+    error = e.what();
   } catch (...) {
-    // The round must still complete: publish the exception to every member
-    // so each rethrows from forward() and degrades its own row, instead of
-    // followers waiting forever on stack-allocated Pendings the leader's
-    // unwind would destroy.
-    error = std::current_exception();
+    error = "batched forward failed with a non-standard exception";
   }
   lock.lock();
 
@@ -89,8 +93,11 @@ void Batcher::fire(util::MutexLock& lock) {
   }
 
   for (std::size_t i = 0; i < round.size(); ++i) {
+    // Each member gets its own exception object: one shared exception_ptr
+    // would let one session thread destroy the object while another still
+    // reads its what().
     if (error)
-      round[i]->error = error;
+      round[i]->error = std::make_exception_ptr(util::RuntimeError(*error));
     else
       round[i]->out = std::move(outs[i]);
     round[i]->done = true;

@@ -25,6 +25,16 @@ Formula make_atom(AtomOp op, LinExpr expr) {
 
 }  // namespace
 
+FormulaNode::FormulaNode(AtomOp op, LinExpr expr)
+    : kind_(FormulaKind::kAtom), op_(op), expr_(std::move(expr)) {
+  Int coeffs = 0;  // Σ|cᵢ|, saturated
+  for (const auto& [v, c] : expr_.terms())
+    coeffs = sat_add(coeffs, c < 0 ? -c : c);
+  const Int c0 = expr_.constant() < 0 ? -expr_.constant() : expr_.constant();
+  if (c0 < kIntInf && coeffs < kIntInf)
+    plain_bound_ = coeffs == 0 ? kIntInf : (kIntInf - 1 - c0) / coeffs;
+}
+
 Formula make_true() {
   static const Formula t =
       std::make_shared<const FormulaNode>(FormulaKind::kTrue);

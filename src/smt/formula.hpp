@@ -33,8 +33,7 @@ using Formula = std::shared_ptr<const FormulaNode>;
 class FormulaNode {
  public:
   FormulaNode(FormulaKind kind) : kind_(kind) {}
-  FormulaNode(AtomOp op, LinExpr expr)
-      : kind_(FormulaKind::kAtom), op_(op), expr_(std::move(expr)) {}
+  FormulaNode(AtomOp op, LinExpr expr);
   FormulaNode(FormulaKind kind, std::vector<Formula> children)
       : kind_(kind), children_(std::move(children)) {}
 
@@ -42,6 +41,12 @@ class FormulaNode {
   AtomOp atom_op() const noexcept { return op_; }
   const LinExpr& atom_expr() const noexcept { return expr_; }
   const std::vector<Formula>& children() const noexcept { return children_; }
+  // Atoms only: the largest variable magnitude D for which this atom's
+  // interval arithmetic fits plain int64, i.e. Σ|cᵢ|·D + |c₀| < kIntInf, so
+  // every partial sum over a box inside [-D, D] is exact without saturation.
+  // -1 when no D qualifies. Computed once here so the solver's per-node test
+  // is one comparison against its largest declared bound.
+  Int atom_plain_bound() const noexcept { return plain_bound_; }
 
   std::string to_string() const;
 
@@ -53,6 +58,7 @@ class FormulaNode {
   FormulaKind kind_;
   AtomOp op_ = AtomOp::kLe;
   LinExpr expr_;
+  Int plain_bound_ = -1;
   std::vector<Formula> children_;
 };
 

@@ -12,12 +12,38 @@ namespace lejit::smt {
 
 namespace {
 
+// Atom arithmetic comes in two instantiations. Plain = false saturates every
+// sum and product at ±kIntInf, which is what keeps domains up to kIntInf/2
+// free of overflow UB. Plain = true is ordinary int64 and skips the division
+// for unit coefficients; callers pick it only for an atom whose
+// atom_plain_bound() covers the largest declared |bound| (SearchNode::bound).
+// There every partial sum is below kIntInf, sat_add/sat_mul are the
+// identity, and both instantiations return the same bits.
+template <bool Plain>
+constexpr Int add(Int a, Int b) noexcept {
+  if constexpr (Plain) return a + b;
+  return sat_add(a, b);
+}
+template <bool Plain>
+constexpr Int mul(Int a, Int b) noexcept {
+  if constexpr (Plain) return a * b;
+  return sat_mul(a, b);
+}
+
 // Floor/ceil division with positive divisor (C++ '/' truncates toward zero).
+template <bool Plain>
 constexpr Int floor_div(Int a, Int b) noexcept {
+  if constexpr (Plain) {
+    if (b == 1) return a;
+  }
   const Int q = a / b;
   return (a % b != 0 && ((a < 0) != (b < 0))) ? q - 1 : q;
 }
+template <bool Plain>
 constexpr Int ceil_div(Int a, Int b) noexcept {
+  if constexpr (Plain) {
+    if (b == 1) return a;
+  }
   const Int q = a / b;
   return (a % b != 0 && ((a < 0) == (b < 0))) ? q + 1 : q;
 }
@@ -43,6 +69,9 @@ struct SearchNode {
   std::vector<Int> hi;
   std::vector<Formula> atoms;
   std::vector<Formula> ors;
+  // Largest |declared bound| over all variables. Domains only shrink, so
+  // every box this node or its children sees lies inside [-bound, bound].
+  Int bound = 0;
   bool conflict = false;
 };
 }  // namespace detail
@@ -62,6 +91,7 @@ Solver& Solver::operator=(Solver&&) noexcept = default;
 
 namespace {
 
+template <bool Plain>
 Interval expr_range(const LinExpr& e, const std::vector<Int>& lo,
                     const std::vector<Int>& hi) {
   Int emin = e.constant();
@@ -69,20 +99,26 @@ Interval expr_range(const LinExpr& e, const std::vector<Int>& lo,
   for (const auto& [v, c] : e.terms()) {
     const auto i = static_cast<std::size_t>(v.index);
     if (c > 0) {
-      emin = sat_add(emin, sat_mul(c, lo[i]));
-      emax = sat_add(emax, sat_mul(c, hi[i]));
+      emin = add<Plain>(emin, mul<Plain>(c, lo[i]));
+      emax = add<Plain>(emax, mul<Plain>(c, hi[i]));
     } else {
-      emin = sat_add(emin, sat_mul(c, hi[i]));
-      emax = sat_add(emax, sat_mul(c, lo[i]));
+      emin = add<Plain>(emin, mul<Plain>(c, hi[i]));
+      emax = add<Plain>(emax, mul<Plain>(c, lo[i]));
     }
   }
   return {emin, emax};
 }
 
-Tri eval_atom(AtomOp op, const LinExpr& e, const std::vector<Int>& lo,
-              const std::vector<Int>& hi) {
-  const Interval r = expr_range(e, lo, hi);
-  switch (op) {
+// Whether atom `a` may run plain int64 arithmetic over `node`'s boxes.
+bool plain(const FormulaNode& a, const detail::SearchNode& node) noexcept {
+  return a.atom_plain_bound() >= node.bound;
+}
+
+Tri eval_atom(const FormulaNode& a, const detail::SearchNode& node) {
+  const Interval r =
+      plain(a, node) ? expr_range<true>(a.atom_expr(), node.lo, node.hi)
+                     : expr_range<false>(a.atom_expr(), node.lo, node.hi);
+  switch (a.atom_op()) {
     case AtomOp::kLe:
       if (r.hi <= 0) return Tri::kTrue;
       if (r.lo > 0) return Tri::kFalse;
@@ -99,17 +135,15 @@ Tri eval_atom(AtomOp op, const LinExpr& e, const std::vector<Int>& lo,
   LEJIT_UNREACHABLE("unreachable atom op");
 }
 
-Tri eval_formula(const Formula& f, const std::vector<Int>& lo,
-                 const std::vector<Int>& hi) {
+Tri eval_formula(const Formula& f, const detail::SearchNode& node) {
   switch (f->kind()) {
     case FormulaKind::kTrue: return Tri::kTrue;
     case FormulaKind::kFalse: return Tri::kFalse;
-    case FormulaKind::kAtom:
-      return eval_atom(f->atom_op(), f->atom_expr(), lo, hi);
+    case FormulaKind::kAtom: return eval_atom(*f, node);
     case FormulaKind::kAnd: {
       bool unknown = false;
       for (const auto& c : f->children()) {
-        const Tri t = eval_formula(c, lo, hi);
+        const Tri t = eval_formula(c, node);
         if (t == Tri::kFalse) return Tri::kFalse;
         if (t == Tri::kUnknown) unknown = true;
       }
@@ -118,7 +152,7 @@ Tri eval_formula(const Formula& f, const std::vector<Int>& lo,
     case FormulaKind::kOr: {
       bool unknown = false;
       for (const auto& c : f->children()) {
-        const Tri t = eval_formula(c, lo, hi);
+        const Tri t = eval_formula(c, node);
         if (t == Tri::kTrue) return Tri::kTrue;
         if (t == Tri::kUnknown) unknown = true;
       }
@@ -201,7 +235,7 @@ void assert_or(const Formula& f, detail::SearchNode& node) {
   const Formula* only_open = nullptr;
   int open = 0;
   for (const auto& c : f->children()) {
-    const Tri t = eval_formula(c, node.lo, node.hi);
+    const Tri t = eval_formula(c, node);
     if (t == Tri::kTrue) return;  // already satisfied
     if (t == Tri::kUnknown) {
       ++open;
@@ -245,15 +279,16 @@ namespace {
 
 // Tighten domains so the atom `dir * expr ⟨<=⟩ 0` is bounds-consistent.
 // Returns true if any domain changed; sets node.conflict on wipeout.
+template <bool Plain>
 bool tighten_le(const LinExpr& e, Int dir, detail::SearchNode& node,
                 std::int64_t& propagations) {
   // total_min = minimum possible value of dir*e under current domains.
-  Int total_min = sat_mul(dir, e.constant());
+  Int total_min = mul<Plain>(dir, e.constant());
   for (const auto& [v, c0] : e.terms()) {
-    const Int c = sat_mul(dir, c0);
+    const Int c = mul<Plain>(dir, c0);
     const auto i = static_cast<std::size_t>(v.index);
-    total_min = sat_add(total_min, c > 0 ? sat_mul(c, node.lo[i])
-                                         : sat_mul(c, node.hi[i]));
+    total_min = add<Plain>(total_min, c > 0 ? mul<Plain>(c, node.lo[i])
+                                            : mul<Plain>(c, node.hi[i]));
   }
   if (total_min > 0) {
     node.conflict = true;
@@ -261,13 +296,14 @@ bool tighten_le(const LinExpr& e, Int dir, detail::SearchNode& node,
   }
   bool changed = false;
   for (const auto& [v, c0] : e.terms()) {
-    const Int c = sat_mul(dir, c0);
+    const Int c = mul<Plain>(dir, c0);
     const auto i = static_cast<std::size_t>(v.index);
-    const Int own_min = c > 0 ? sat_mul(c, node.lo[i]) : sat_mul(c, node.hi[i]);
-    const Int rest_min = sat_add(total_min, -own_min);
+    const Int own_min =
+        c > 0 ? mul<Plain>(c, node.lo[i]) : mul<Plain>(c, node.hi[i]);
+    const Int rest_min = add<Plain>(total_min, -own_min);
     // c * x_i <= -rest_min
     if (c > 0) {
-      const Int ub = floor_div(-rest_min, c);
+      const Int ub = floor_div<Plain>(-rest_min, c);
       if (ub < node.hi[i]) {
         node.hi[i] = ub;
         changed = true;
@@ -278,7 +314,7 @@ bool tighten_le(const LinExpr& e, Int dir, detail::SearchNode& node,
         }
       }
     } else {
-      const Int lb = ceil_div(rest_min, -c);
+      const Int lb = ceil_div<Plain>(rest_min, -c);
       if (lb > node.lo[i]) {
         node.lo[i] = lb;
         changed = true;
@@ -295,6 +331,7 @@ bool tighten_le(const LinExpr& e, Int dir, detail::SearchNode& node,
 
 // Prune domain-boundary values forbidden by `expr != 0` when exactly one
 // variable is unfixed (weak but cheap; search completes the rest).
+template <bool Plain>
 bool tighten_ne(const LinExpr& e, detail::SearchNode& node,
                 std::int64_t& propagations) {
   Int fixed_sum = e.constant();
@@ -304,7 +341,7 @@ bool tighten_ne(const LinExpr& e, detail::SearchNode& node,
   for (const auto& [v, c] : e.terms()) {
     const auto i = static_cast<std::size_t>(v.index);
     if (node.lo[i] == node.hi[i]) {
-      fixed_sum = sat_add(fixed_sum, sat_mul(c, node.lo[i]));
+      fixed_sum = add<Plain>(fixed_sum, mul<Plain>(c, node.lo[i]));
     } else {
       ++unfixed;
       unfixed_index = i;
@@ -317,8 +354,13 @@ bool tighten_ne(const LinExpr& e, detail::SearchNode& node,
   }
   if (unfixed != 1) return false;
   // unfixed_coeff * x + fixed_sum != 0 → exclude x0 when it divides evenly.
-  if ((-fixed_sum) % unfixed_coeff != 0) return false;
-  const Int x0 = (-fixed_sum) / unfixed_coeff;
+  Int x0 = 0;
+  if (Plain && (unfixed_coeff == 1 || unfixed_coeff == -1)) {
+    x0 = -fixed_sum * unfixed_coeff;
+  } else {
+    if ((-fixed_sum) % unfixed_coeff != 0) return false;
+    x0 = (-fixed_sum) / unfixed_coeff;
+  }
   bool changed = false;
   if (node.lo[unfixed_index] == x0) {
     ++node.lo[unfixed_index];
@@ -332,6 +374,25 @@ bool tighten_ne(const LinExpr& e, detail::SearchNode& node,
   }
   if (node.lo[unfixed_index] > node.hi[unfixed_index]) node.conflict = true;
   return changed;
+}
+
+// Tighten domains for one open atom; true if any domain changed.
+template <bool Plain>
+bool tighten_atom(const FormulaNode& a, detail::SearchNode& node,
+                  SolverStats& stats) {
+  const LinExpr& e = a.atom_expr();
+  switch (a.atom_op()) {
+    case AtomOp::kLe:
+      return tighten_le<Plain>(e, 1, node, stats.propagations);
+    case AtomOp::kEq: {
+      const bool changed = tighten_le<Plain>(e, 1, node, stats.propagations);
+      if (node.conflict) return changed;
+      return tighten_le<Plain>(e, -1, node, stats.propagations) || changed;
+    }
+    case AtomOp::kNe:
+      return tighten_ne<Plain>(e, node, stats.propagations);
+  }
+  LEJIT_UNREACHABLE("unreachable atom op");
 }
 
 }  // namespace
@@ -357,7 +418,7 @@ bool Solver::propagate(detail::SearchNode& node, std::int64_t deadline_ns,
     // Atoms: tighten; drop once definitely true.
     for (std::size_t i = 0; i < node.atoms.size();) {
       const Formula& a = node.atoms[i];
-      const Tri t = eval_atom(a->atom_op(), a->atom_expr(), node.lo, node.hi);
+      const Tri t = eval_atom(*a, node);
       if (t == Tri::kFalse) {
         node.conflict = true;
         return false;
@@ -367,20 +428,8 @@ bool Solver::propagate(detail::SearchNode& node, std::int64_t deadline_ns,
         node.atoms.pop_back();
         continue;
       }
-      switch (a->atom_op()) {
-        case AtomOp::kLe:
-          changed |= tighten_le(a->atom_expr(), 1, node, stats_.propagations);
-          break;
-        case AtomOp::kEq:
-          changed |= tighten_le(a->atom_expr(), 1, node, stats_.propagations);
-          if (!node.conflict)
-            changed |=
-                tighten_le(a->atom_expr(), -1, node, stats_.propagations);
-          break;
-        case AtomOp::kNe:
-          changed |= tighten_ne(a->atom_expr(), node, stats_.propagations);
-          break;
-      }
+      changed |= plain(*a, node) ? tighten_atom<true>(*a, node, stats_)
+                                 : tighten_atom<false>(*a, node, stats_);
       if (node.conflict) return false;
       ++i;
     }
@@ -392,7 +441,7 @@ bool Solver::propagate(detail::SearchNode& node, std::int64_t deadline_ns,
       int open = 0;
       bool satisfied = false;
       for (const auto& c : f->children()) {
-        const Tri t = eval_formula(c, node.lo, node.hi);
+        const Tri t = eval_formula(c, node);
         if (t == Tri::kTrue) {
           satisfied = true;
           break;
@@ -468,7 +517,7 @@ CheckResult Solver::search(detail::SearchNode& node, std::int64_t& nodes_left,
     std::vector<Formula> rest;
     rest.reserve(f->children().size());
     for (const auto& c : f->children()) {
-      if (!pick && eval_formula(c, node.lo, node.hi) == Tri::kUnknown) {
+      if (!pick && eval_formula(c, node) == Tri::kUnknown) {
         pick = c;
       } else {
         rest.push_back(c);
@@ -490,7 +539,11 @@ CheckResult Solver::search(detail::SearchNode& node, std::int64_t& nodes_left,
   }
 
   // Domain split on a variable occurring in an open atom; prefer the
-  // narrowest such domain so enumeration kicks in quickly.
+  // narrowest such domain so enumeration kicks in quickly. The lower bound
+  // goes first as a point: children {lo}, [lo+1, mid], [mid+1, hi] visit
+  // values in the same ascending order as lower-half-first bisection and
+  // each is strictly narrower, so search stays complete and terminating,
+  // but a variable feasible at lo after propagation is fixed in one node.
   std::size_t best = SIZE_MAX;
   Int best_width = kIntInf;
   for (const auto& a : node.atoms) {
@@ -505,9 +558,17 @@ CheckResult Solver::search(detail::SearchNode& node, std::int64_t& nodes_left,
   }
   LEJIT_ASSERT(best != SIZE_MAX, "open atom with all variables fixed");
 
-  const Int mid = node.lo[best] + (node.hi[best] - node.lo[best]) / 2;
+  const Int lo = node.lo[best];
+  const Int mid = lo + (node.hi[best] - lo) / 2;
   {
     detail::SearchNode child = node;
+    child.hi[best] = lo;
+    const CheckResult r = search(child, nodes_left, deadline_ns);
+    if (r != CheckResult::kUnsat) return r;
+  }
+  if (mid > lo) {
+    detail::SearchNode child = node;
+    child.lo[best] = lo + 1;
     child.hi[best] = mid;
     const CheckResult r = search(child, nodes_left, deadline_ns);
     if (r != CheckResult::kUnsat) return r;
@@ -549,6 +610,18 @@ CheckResult Solver::check_assuming(std::span<const Formula> assumptions,
   return r;
 }
 
+detail::SearchNode Solver::declared_box() const {
+  detail::SearchNode node;
+  node.lo.reserve(vars_.size());
+  node.hi.reserve(vars_.size());
+  for (const auto& v : vars_) {
+    node.lo.push_back(v.lo);
+    node.hi.push_back(v.hi);
+    node.bound = std::max({node.bound, -v.lo, v.hi});
+  }
+  return node;
+}
+
 // Make base_ a propagated snapshot of the full current assertion stack. A
 // valid base only ever needs the new assertion suffix folded in (domains only
 // shrink down an assertion stack, so the old fixpoint stays sound); it is
@@ -567,13 +640,7 @@ void Solver::ensure_base() {
     ++stats_.base_folds;
     return;
   }
-  base_ = std::make_unique<detail::SearchNode>();
-  base_->lo.reserve(vars_.size());
-  base_->hi.reserve(vars_.size());
-  for (const auto& v : vars_) {
-    base_->lo.push_back(v.lo);
-    base_->hi.push_back(v.hi);
-  }
+  base_ = std::make_unique<detail::SearchNode>(declared_box());
   for (const auto& f : assertions_) assert_true(f, *base_);
   base_assertions_ = assertions_.size();
   base_valid_ = true;
@@ -608,12 +675,7 @@ CheckResult Solver::check_assuming_impl(std::span<const Formula> assumptions,
     ensure_base();
     root = *base_;  // rules already folded + propagated once per scope state
   } else {
-    root.lo.reserve(vars_.size());
-    root.hi.reserve(vars_.size());
-    for (const auto& v : vars_) {
-      root.lo.push_back(v.lo);
-      root.hi.push_back(v.hi);
-    }
+    root = declared_box();
     for (const auto& f : assertions_) assert_true(f, root);
   }
   for (const auto& f : assumptions) {
@@ -695,12 +757,8 @@ std::optional<Solver::MinimizeResult> Solver::minimize(const LinExpr& cost) {
   best.cost = cost.eval(best.model);
 
   // Lower bound from the root box.
-  std::vector<Int> los, his;
-  for (const auto& v : vars_) {
-    los.push_back(v.lo);
-    his.push_back(v.hi);
-  }
-  Int lb = expr_range(cost, los, his).lo;
+  const detail::SearchNode box = declared_box();
+  Int lb = expr_range<false>(cost, box.lo, box.hi).lo;
 
   while (lb < best.cost) {
     const Int mid = lb + (best.cost - lb) / 2;

@@ -185,6 +185,8 @@ class Solver {
   // caller must give up with kUnknown (the node is sound but unfinished).
   bool propagate(detail::SearchNode& node, std::int64_t deadline_ns = 0,
                  bool* deadline_hit = nullptr);
+  // Root node over the declared domains, with no constraints asserted.
+  detail::SearchNode declared_box() const;
   // Incremental mode: make base_ a propagated snapshot of the full current
   // assertion stack, rebuilding or folding the new suffix as needed.
   void ensure_base();

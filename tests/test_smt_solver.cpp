@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
+#include <string>
 
 #include "smt/solver.hpp"
 #include "util/rng.hpp"
@@ -275,6 +278,27 @@ TEST(Solver, StatsAccumulate) {
   EXPECT_EQ(s.stats().checks, 0);
 }
 
+TEST(Solver, ValueFirstSplitFixesFeasibleLowerBoundsInOneNodeEach) {
+  // The decoder's shape: five [0,96] fields under a sum rule, one field
+  // pinned to a digit-prefix range. Trying each split variable's lower bound
+  // as a point first fixes I0=30, I1=0, I2=18 one node each (4 nodes with the
+  // root); lower-half-first bisection walks 19.
+  for (const bool incremental : {false, true}) {
+    Solver s(SolverConfig{.incremental = incremental});
+    LinExpr sum;
+    std::vector<VarId> vars;
+    for (int i = 0; i < 5; ++i) {
+      vars.push_back(s.add_var("I" + std::to_string(i), 0, 96));
+      sum += LinExpr(vars.back());
+    }
+    s.add(eq(sum, LinExpr(240)));
+    const Formula pin = between(LinExpr(vars[0]), LinExpr(30), LinExpr(39));
+    ASSERT_EQ(s.check_assuming(std::span(&pin, 1)), CheckResult::kSat);
+    EXPECT_LE(s.stats().nodes, 6) << "incremental=" << incremental;
+    EXPECT_EQ(s.model_value(vars[0]), 30);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property: solver agrees with a brute-force oracle on random problems over
 // small domains. This is the main correctness argument for minismt.
@@ -319,37 +343,31 @@ class SolverOracleProperty : public ::testing::TestWithParam<OracleCase> {};
 TEST_P(SolverOracleProperty, AgreesWithBruteForce) {
   const OracleCase param = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(param.seed) * 7919 + 13);
+  std::vector<VarId> vars;
+  for (int i = 0; i < param.nvars; ++i) vars.push_back(VarId{i});
 
   for (int trial = 0; trial < 12; ++trial) {
-    Solver s;
-    std::vector<VarId> vars;
-    for (int i = 0; i < param.nvars; ++i)
-      vars.push_back(s.add_var("v" + std::to_string(i), 0, param.domain_hi));
     std::vector<Formula> formulas;
     const int nf = static_cast<int>(rng.uniform_int(1, 3));
-    for (int i = 0; i < nf; ++i) {
-      Formula f = random_formula(rng, vars, 2);
-      formulas.push_back(f);
-      s.add(std::move(f));
-    }
+    for (int i = 0; i < nf; ++i)
+      formulas.push_back(random_formula(rng, vars, 2));
+    // Asked the way the guided decoder asks: `scoped` asserted inside a
+    // push/pop scope, `assumed` passed to check_assuming.
+    const Formula scoped = random_formula(rng, vars, 1);
+    const Formula assumed = random_formula(rng, vars, 1);
 
-    // Brute force: enumerate the full grid.
-    bool oracle_sat = false;
+    // Brute force: enumerate the full grid. `points` satisfy the base
+    // assertions, `scoped_points` also satisfy scoped and assumed.
+    std::vector<std::vector<Int>> points, scoped_points;
     std::vector<Int> a(static_cast<std::size_t>(param.nvars), 0);
-    std::vector<std::vector<Int>> sat_points;
     const auto enumerate = [&](auto&& self, int idx) -> void {
       if (idx == param.nvars) {
-        bool ok = true;
-        for (const auto& f : formulas) {
-          if (!f->eval(a)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          oracle_sat = true;
-          sat_points.push_back(a);
-        }
+        const bool base =
+            std::all_of(formulas.begin(), formulas.end(),
+                        [&](const Formula& f) { return f->eval(a); });
+        if (!base) return;
+        points.push_back(a);
+        if (scoped->eval(a) && assumed->eval(a)) scoped_points.push_back(a);
         return;
       }
       for (Int v = 0; v <= param.domain_hi; ++v) {
@@ -358,28 +376,65 @@ TEST_P(SolverOracleProperty, AgreesWithBruteForce) {
       }
     };
     enumerate(enumerate, 0);
+    const auto hull = [&](const std::vector<std::vector<Int>>& pts, int vi) {
+      Interval r = Interval::empty();
+      for (const auto& p : pts) {
+        const Int x = p[static_cast<std::size_t>(vi)];
+        r = r.is_empty() ? Interval{x, x}
+                         : Interval{std::min(r.lo, x), std::max(r.hi, x)};
+      }
+      return r;
+    };
 
-    const CheckResult r = s.check();
-    ASSERT_NE(r, CheckResult::kUnknown) << "budget too small for tiny case";
-    EXPECT_EQ(r == CheckResult::kSat, oracle_sat) << "trial " << trial;
+    // Each trial runs with the incremental base off and on. With `wide`, an
+    // extra unconstrained variable declared over ±kIntInf/2 lifts the
+    // solver's largest declared bound so every atom with Σ|cᵢ| > 1 takes the
+    // saturating arithmetic path instead of the plain int64 one.
+    for (const bool incremental : {false, true}) {
+      for (const bool wide : {false, true}) {
+        const std::string where =
+            "trial " + std::to_string(trial) + " incremental=" +
+            std::to_string(incremental) + " wide=" + std::to_string(wide);
+        Solver s(SolverConfig{.incremental = incremental});
+        for (int i = 0; i < param.nvars; ++i)
+          s.add_var("v" + std::to_string(i), 0, param.domain_hi);
+        if (wide) s.add_var("wide", -kIntInf / 2 + 1, kIntInf / 2 - 1);
+        for (const auto& f : formulas) s.add(f);
 
-    if (r == CheckResult::kSat) {
-      // The returned model must actually satisfy every formula.
-      const std::vector<Int>& m = s.model();
-      for (const auto& f : formulas) EXPECT_TRUE(f->eval(m));
-    }
-
-    if (oracle_sat) {
-      // feasible_interval must match the oracle's min/max for each var.
-      for (int vi = 0; vi < param.nvars; ++vi) {
-        Int mn = param.domain_hi + 1, mx = -1;
-        for (const auto& p : sat_points) {
-          mn = std::min(mn, p[static_cast<std::size_t>(vi)]);
-          mx = std::max(mx, p[static_cast<std::size_t>(vi)]);
+        const CheckResult r = s.check();
+        ASSERT_NE(r, CheckResult::kUnknown) << "budget too small; " << where;
+        EXPECT_EQ(r == CheckResult::kSat, !points.empty()) << where;
+        if (r == CheckResult::kSat) {
+          // The returned model must actually satisfy every formula.
+          for (const auto& f : formulas)
+            EXPECT_TRUE(f->eval(s.model())) << where;
         }
-        EXPECT_EQ(s.feasible_interval(vars[static_cast<std::size_t>(vi)]),
-                  (Interval{mn, mx}))
-            << "var " << vi << " trial " << trial;
+        // feasible_interval must match the oracle's min/max for each var.
+        for (int vi = 0; vi < param.nvars; ++vi)
+          EXPECT_EQ(s.feasible_interval(vars[static_cast<std::size_t>(vi)]),
+                    hull(points, vi))
+              << "var " << vi << " " << where;
+
+        s.push();
+        s.add(scoped);
+        const CheckResult rs = s.check_assuming(std::span(&assumed, 1));
+        ASSERT_NE(rs, CheckResult::kUnknown) << "budget too small; " << where;
+        EXPECT_EQ(rs == CheckResult::kSat, !scoped_points.empty()) << where;
+        if (rs == CheckResult::kSat) {
+          const std::vector<Int>& m = s.model();
+          for (const auto& f : formulas) EXPECT_TRUE(f->eval(m)) << where;
+          EXPECT_TRUE(scoped->eval(m)) << where;
+          EXPECT_TRUE(assumed->eval(m)) << where;
+        }
+        for (int vi = 0; vi < param.nvars; ++vi)
+          EXPECT_EQ(s.feasible_interval(vars[static_cast<std::size_t>(vi)],
+                                        std::span(&assumed, 1)),
+                    hull(scoped_points, vi))
+              << "scoped var " << vi << " " << where;
+        s.pop();
+
+        // Popping the scope restores the base answer.
+        EXPECT_EQ(s.check(), r) << "after pop; " << where;
       }
     }
   }

@@ -148,6 +148,35 @@ TEST(SolverEdge, LargeCoefficients) {
   EXPECT_EQ(s.model_value(y), 1000 * s.model_value(x));
 }
 
+TEST(SolverEdge, PlainArithmeticNeverWrapsPastSaturation) {
+  // 2^40 * x reaches 2^70 at x's upper bound: past int64, so this atom must
+  // take the saturating path. Wrapped int64 would read the atom's maximum as
+  // 2^70 mod 2^64 - 2^50 < 0, drop it as already true, and answer sat.
+  for (const bool incremental : {false, true}) {
+    Solver s(SolverConfig{.incremental = incremental});
+    const VarId x = s.add_var("x", Int{1} << 11, Int{1} << 30);
+    s.add(le(LinExpr::term(Int{1} << 40, x), LinExpr(Int{1} << 50)));
+    EXPECT_EQ(s.check(), CheckResult::kUnsat) << "incremental=" << incremental;
+  }
+}
+
+TEST(SolverEdge, SplitReachesValuesBetweenLowerBoundAndMidpoint) {
+  // y = x + 10 and x + y avoids 10, 20, 22, 24, 26: only x in [1, 4] is
+  // feasible. The two-variable != atoms prune nothing at the root, so the
+  // split on x in [0, 8] must refute {0}, then find the models in the
+  // [lo+1, mid] child; the [mid+1, hi] child is all infeasible.
+  for (const bool incremental : {false, true}) {
+    Solver s(SolverConfig{.incremental = incremental});
+    const VarId x = s.add_var("x", 0, 8);
+    const VarId y = s.add_var("y", 0, 20);
+    s.add(eq(LinExpr(y), LinExpr(x) + LinExpr(10)));
+    for (const Int sum : {10, 20, 22, 24, 26})
+      s.add(ne(LinExpr(x) + LinExpr(y), LinExpr(sum)));
+    ASSERT_EQ(s.check(), CheckResult::kSat) << "incremental=" << incremental;
+    EXPECT_EQ(s.feasible_interval(x), (Interval{1, 4}));
+  }
+}
+
 TEST(SolverEdge, DomainOutsideSafeRangeRejected) {
   Solver s;
   EXPECT_THROW(s.add_var("x", -kIntInf, kIntInf), util::PreconditionError);
